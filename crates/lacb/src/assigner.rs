@@ -68,37 +68,50 @@ pub trait Assigner: Send {
     }
 }
 
-/// Boxed policies are policies too, so dynamic callers (the CLI) can
-/// wrap any algorithm in [`crate::ResilientAssigner`].
-impl Assigner for Box<dyn Assigner> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-    fn begin_day(&mut self, platform: &Platform, day: usize) {
-        (**self).begin_day(platform, day);
-    }
-    fn assign_batch(&mut self, platform: &Platform, requests: &[Request]) -> Vec<Option<usize>> {
-        (**self).assign_batch(platform, requests)
-    }
-    fn end_day(&mut self, platform: &Platform, feedback: &DayFeedback) {
-        (**self).end_day(platform, feedback);
-    }
-    fn resilience_stats(&self) -> Option<ResilienceStats> {
-        (**self).resilience_stats()
-    }
-    fn take_audit_report(&mut self) -> Option<AuditReport> {
-        (**self).take_audit_report()
-    }
-    fn repair_quarantined_brokers(&mut self) {
-        (**self).repair_quarantined_brokers();
-    }
-    fn inject_state_fault(&mut self, fault: &StateFault) {
-        (**self).inject_state_fault(fault);
-    }
-    fn take_stage_breakdown(&mut self) -> Option<StageBreakdown> {
-        (**self).take_stage_breakdown()
-    }
+/// Forward every [`Assigner`] method through a pointer to a policy.
+macro_rules! forward_assigner {
+    ($($header:tt)*) => {
+        $($header)* {
+            fn name(&self) -> String {
+                (**self).name()
+            }
+            fn begin_day(&mut self, platform: &Platform, day: usize) {
+                (**self).begin_day(platform, day);
+            }
+            fn assign_batch(
+                &mut self,
+                platform: &Platform,
+                requests: &[Request],
+            ) -> Vec<Option<usize>> {
+                (**self).assign_batch(platform, requests)
+            }
+            fn end_day(&mut self, platform: &Platform, feedback: &DayFeedback) {
+                (**self).end_day(platform, feedback);
+            }
+            fn resilience_stats(&self) -> Option<ResilienceStats> {
+                (**self).resilience_stats()
+            }
+            fn take_audit_report(&mut self) -> Option<AuditReport> {
+                (**self).take_audit_report()
+            }
+            fn repair_quarantined_brokers(&mut self) {
+                (**self).repair_quarantined_brokers();
+            }
+            fn inject_state_fault(&mut self, fault: &StateFault) {
+                (**self).inject_state_fault(fault);
+            }
+            fn take_stage_breakdown(&mut self) -> Option<StageBreakdown> {
+                (**self).take_stage_breakdown()
+            }
+        }
+    };
 }
+
+// Boxed policies are policies too, so dynamic callers (the CLI) can
+// wrap any algorithm in [`crate::ResilientAssigner`]; borrowed ones let
+// the serving core drive a policy its caller keeps.
+forward_assigner!(impl Assigner for Box<dyn Assigner>);
+forward_assigner!(impl<T: Assigner + ?Sized> Assigner for &mut T);
 
 /// Assert the matching property (each broker at most once per batch);
 /// used by the runner in debug builds and by tests.

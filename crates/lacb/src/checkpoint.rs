@@ -25,21 +25,20 @@
 //! *stateless* (every draw is a pure hash of coordinates), so it needs
 //! no checkpointing: a restored run replays the same chaos.
 
-use crate::assigner::Assigner;
 use crate::lacb::{Lacb, LacbConfig};
 use crate::overload::OverloadSnapshot;
 use crate::resilient::{ResilienceConfig, ResilientAssigner};
+use crate::serving::Engine;
 use admission::{BreakerSnapshot, BreakerStateKind, BreakerTransition, BrownoutLevel, QueueEntry};
 use bandit::state;
 use durability::{atomic_write, parse_v2, write_v2, V2_HEADER};
 use platform_sim::{
     BreakerComponent, BreakerEvent, BrokerLedger, BrokerState, Dataset, DayFeedback, FaultPlan,
-    OverloadStats, Platform, ResilienceStats, RunMetrics, StageTimings, TrialTriple,
+    OverloadStats, Platform, ResilienceStats, RunMetrics, TrialTriple,
 };
 use std::fmt;
 use std::io::ErrorKind;
 use std::path::Path;
-use std::time::Instant;
 
 /// Legacy payload format tag; v1 files are still accepted on load.
 pub const FORMAT_VERSION: &str = "caam-ckpt v1";
@@ -136,40 +135,14 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Snapshot a pipeline at a day boundary.
-    pub fn capture(
-        matcher: &Lacb,
-        platform: &Platform,
-        ledger: &BrokerLedger,
-        progress: &RunProgress,
-        pending_feedback: Option<&DayFeedback>,
-        stats: &ResilienceStats,
-    ) -> Checkpoint {
-        Self::capture_with_overload(
-            matcher,
-            platform,
-            ledger,
-            progress,
-            pending_feedback,
-            stats,
-            None,
-        )
-    }
-
-    /// Snapshot an overload-protected pipeline: [`Checkpoint::capture`]
-    /// plus the admission/breaker/brownout controller state, so a
-    /// restored run resumes shedding and probing exactly where the
-    /// crashed one stopped.
-    #[allow(clippy::too_many_arguments)]
-    pub fn capture_with_overload(
-        matcher: &Lacb,
-        platform: &Platform,
-        ledger: &BrokerLedger,
-        progress: &RunProgress,
-        pending_feedback: Option<&DayFeedback>,
-        stats: &ResilienceStats,
-        overload: Option<&OverloadSnapshot>,
-    ) -> Checkpoint {
+    /// Snapshot a resilient LACB pipeline at a day boundary: the
+    /// matcher, platform, ledger, run accumulators, feedback channel
+    /// and, when the pipeline runs under overload control, the
+    /// admission/breaker/brownout controller, so a restored run resumes
+    /// shedding and probing exactly where the crashed one stopped.
+    pub fn capture(engine: &Engine<'_, ResilientAssigner<Lacb>>) -> Checkpoint {
+        let progress = &engine.progress;
+        let assigner = &engine.assigner;
         let mut out = String::new();
         out.push_str(FORMAT_VERSION);
         out.push('\n');
@@ -178,13 +151,13 @@ impl Checkpoint {
         state::push_floats(&mut out, "daily-utility", &progress.daily_utility);
         state::push_floats(&mut out, "daily-elapsed", &progress.daily_elapsed);
         state::push_kv(&mut out, "requests-failed", progress.requests_failed);
-        write_platform(&mut out, platform);
-        write_ledger(&mut out, ledger);
-        write_stats(&mut out, stats);
-        write_feedback(&mut out, pending_feedback);
-        matcher.write_state(&mut out);
-        if let Some(ov) = overload {
-            write_overload(&mut out, ov);
+        write_platform(&mut out, &engine.platform);
+        write_ledger(&mut out, &engine.ledger);
+        write_stats(&mut out, assigner.stats());
+        write_feedback(&mut out, assigner.pending_feedback());
+        assigner.primary().write_state(&mut out);
+        if let Some(ov) = &engine.overload {
+            write_overload(&mut out, &ov.snapshot());
         }
         Checkpoint { text: out }
     }
@@ -544,62 +517,30 @@ fn parse_u64s(rest: &str, n: usize, what: &str) -> Result<Vec<u64>, CheckpointEr
     Ok(vals)
 }
 
-fn encode_kind(k: BreakerStateKind) -> u64 {
-    match k {
-        BreakerStateKind::Closed => 0,
-        BreakerStateKind::Open => 1,
-        BreakerStateKind::HalfOpen => 2,
-    }
+/// Wire codes of the controller enums: a variant's index in its table.
+const KINDS: [BreakerStateKind; 3] =
+    [BreakerStateKind::Closed, BreakerStateKind::Open, BreakerStateKind::HalfOpen];
+const LEVELS: [BrownoutLevel; 3] =
+    [BrownoutLevel::Normal, BrownoutLevel::ReducedCbs, BrownoutLevel::GreedyOnly];
+const COMPONENTS: [BreakerComponent; 3] =
+    [BreakerComponent::Solver, BreakerComponent::Bandit, BreakerComponent::Wal];
+
+fn encode<T: PartialEq>(table: &[T], v: T) -> u64 {
+    table.iter().position(|t| *t == v).expect("every variant has a code") as u64
 }
 
-fn decode_kind(v: u64) -> Result<BreakerStateKind, CheckpointError> {
-    match v {
-        0 => Ok(BreakerStateKind::Closed),
-        1 => Ok(BreakerStateKind::Open),
-        2 => Ok(BreakerStateKind::HalfOpen),
-        other => Err(CheckpointError::Invalid(format!("unknown breaker state {other}"))),
-    }
-}
-
-fn encode_level(l: BrownoutLevel) -> u64 {
-    match l {
-        BrownoutLevel::Normal => 0,
-        BrownoutLevel::ReducedCbs => 1,
-        BrownoutLevel::GreedyOnly => 2,
-    }
-}
-
-fn decode_level(v: u64) -> Result<BrownoutLevel, CheckpointError> {
-    match v {
-        0 => Ok(BrownoutLevel::Normal),
-        1 => Ok(BrownoutLevel::ReducedCbs),
-        2 => Ok(BrownoutLevel::GreedyOnly),
-        other => Err(CheckpointError::Invalid(format!("unknown brownout level {other}"))),
-    }
-}
-
-fn encode_component(c: BreakerComponent) -> u64 {
-    match c {
-        BreakerComponent::Solver => 0,
-        BreakerComponent::Bandit => 1,
-        BreakerComponent::Wal => 2,
-    }
-}
-
-fn decode_component(v: u64) -> Result<BreakerComponent, CheckpointError> {
-    match v {
-        0 => Ok(BreakerComponent::Solver),
-        1 => Ok(BreakerComponent::Bandit),
-        2 => Ok(BreakerComponent::Wal),
-        other => Err(CheckpointError::Invalid(format!("unknown breaker component {other}"))),
-    }
+fn decode<T: Copy>(table: &[T], code: u64, what: &str) -> Result<T, CheckpointError> {
+    usize::try_from(code)
+        .ok()
+        .and_then(|i| table.get(i).copied())
+        .ok_or_else(|| CheckpointError::Invalid(format!("unknown {what} {code}")))
 }
 
 fn write_breaker(out: &mut String, s: &BreakerSnapshot) {
     push_u64s(
         out,
         "overload-breaker",
-        &[encode_kind(s.kind), u64::from(s.counter), s.until_tick, s.trips],
+        &[encode(&KINDS, s.kind), u64::from(s.counter), s.until_tick, s.trips],
     );
 }
 
@@ -609,12 +550,30 @@ fn read_breaker<'a, I: Iterator<Item = &'a str>>(
 ) -> Result<BreakerSnapshot, CheckpointError> {
     let v = parse_u64s(state::expect_key(lines, "overload-breaker")?, 4, what)?;
     Ok(BreakerSnapshot {
-        kind: decode_kind(v[0])?,
+        kind: decode(&KINDS, v[0], "breaker state")?,
         counter: u32::try_from(v[1])
             .map_err(|_| CheckpointError::Invalid(format!("{what}: counter overflow")))?,
         until_tick: v[2],
         trips: v[3],
     })
+}
+
+/// The overload counters in checkpoint order.
+fn counter_fields(s: &mut OverloadStats) -> [&mut u64; 12] {
+    [
+        &mut s.offered,
+        &mut s.admitted,
+        &mut s.served,
+        &mut s.shed_queue_full,
+        &mut s.shed_deadline,
+        &mut s.shed_watermark,
+        &mut s.leftover_queued,
+        &mut s.spikes_detected,
+        &mut s.breaker_trips,
+        &mut s.brownout_escalations,
+        &mut s.reduced_cbs_batches,
+        &mut s.greedy_batches,
+    ]
 }
 
 /// Serialise the overload controller. Floats (queue priorities, the
@@ -651,31 +610,15 @@ fn write_overload(out: &mut String, ov: &OverloadSnapshot) {
         out,
         "overload-brownout",
         &[
-            encode_level(ov.brownout.level),
+            encode(&LEVELS, ov.brownout.level),
             u64::from(ov.brownout.pressured_ticks),
             u64::from(ov.brownout.calm_ticks),
             ov.brownout.escalations,
         ],
     );
     let s = &ov.stats;
-    push_u64s(
-        out,
-        "overload-counters",
-        &[
-            s.offered,
-            s.admitted,
-            s.served,
-            s.shed_queue_full,
-            s.shed_deadline,
-            s.shed_watermark,
-            s.leftover_queued,
-            s.spikes_detected,
-            s.breaker_trips,
-            s.brownout_escalations,
-            s.reduced_cbs_batches,
-            s.greedy_batches,
-        ],
-    );
+    let mut counters = s.clone();
+    push_u64s(out, "overload-counters", &counter_fields(&mut counters).map(|c| *c));
     let mut daily = vec![s.daily_served.len() as u64];
     daily.extend_from_slice(&s.daily_served);
     push_u64s(out, "overload-daily-served", &daily);
@@ -685,10 +628,10 @@ fn write_overload(out: &mut String, ov: &OverloadSnapshot) {
             out,
             "overload-event",
             &[
-                encode_component(e.component),
+                encode(&COMPONENTS, e.component),
                 e.transition.tick,
-                encode_kind(e.transition.from),
-                encode_kind(e.transition.to),
+                encode(&KINDS, e.transition.from),
+                encode(&KINDS, e.transition.to),
             ],
         );
     }
@@ -751,7 +694,7 @@ fn read_overload<'a, I: Iterator<Item = &'a str>>(
     let wal_breaker = read_breaker(lines, "wal breaker")?;
     let br = parse_u64s(state::expect_key(lines, "overload-brownout")?, 4, "brownout")?;
     let brownout = admission::BrownoutSnapshot {
-        level: decode_level(br[0])?,
+        level: decode(&LEVELS, br[0], "brownout level")?,
         pressured_ticks: u32::try_from(br[1])
             .map_err(|_| CheckpointError::Invalid("brownout: pressured overflow".into()))?,
         calm_ticks: u32::try_from(br[2])
@@ -763,11 +706,10 @@ fn read_overload<'a, I: Iterator<Item = &'a str>>(
     let daily_all: Result<Vec<u64>, _> = daily_rest.split_whitespace().map(str::parse).collect();
     let daily_all = daily_all
         .map_err(|e| CheckpointError::Invalid(format!("daily served: bad integer: {e}")))?;
-    let (daily_n, daily_served) = match daily_all.split_first() {
-        Some((n, rest)) if *n as usize == rest.len() => (*n, rest.to_vec()),
+    let daily_served = match daily_all.split_first() {
+        Some((n, rest)) if *n as usize == rest.len() => rest.to_vec(),
         _ => return Err(CheckpointError::Invalid("daily served: length mismatch".into())),
     };
-    let _ = daily_n;
     let n_events: usize =
         state::parse_one(state::expect_key(lines, "overload-events")?, "event count")?;
     let mut breaker_events = Vec::with_capacity(n_events);
@@ -778,30 +720,18 @@ fn read_overload<'a, I: Iterator<Item = &'a str>>(
             &format!("breaker event {i}"),
         )?;
         breaker_events.push(BreakerEvent {
-            component: decode_component(e[0])?,
+            component: decode(&COMPONENTS, e[0], "breaker component")?,
             transition: BreakerTransition {
                 tick: e[1],
-                from: decode_kind(e[2])?,
-                to: decode_kind(e[3])?,
+                from: decode(&KINDS, e[2], "breaker state")?,
+                to: decode(&KINDS, e[3], "breaker state")?,
             },
         });
     }
-    let stats = OverloadStats {
-        offered: c[0],
-        admitted: c[1],
-        served: c[2],
-        shed_queue_full: c[3],
-        shed_deadline: c[4],
-        shed_watermark: c[5],
-        leftover_queued: c[6],
-        spikes_detected: c[7],
-        breaker_trips: c[8],
-        brownout_escalations: c[9],
-        reduced_cbs_batches: c[10],
-        greedy_batches: c[11],
-        breaker_events,
-        daily_served,
-    };
+    let mut stats = OverloadStats { breaker_events, daily_served, ..OverloadStats::default() };
+    for (field, v) in counter_fields(&mut stats).into_iter().zip(c) {
+        *field = v;
+    }
     Ok(Some(OverloadSnapshot {
         tick,
         bucket,
@@ -831,51 +761,10 @@ pub fn run_chaos_until(
             spiked.days.len()
         )));
     }
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
-    let mut assigner = ResilientAssigner::new(Lacb::new(cfg), rcfg);
-    let mut ledger = BrokerLedger::new(platform.num_brokers());
-    let mut progress = RunProgress::default();
-    for (d, day) in spiked.days.iter().take(stop_after_day + 1).enumerate() {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        progress.elapsed_secs += t0.elapsed().as_secs_f64();
-        for (b, batch) in day.iter().enumerate() {
-            let t = Instant::now();
-            let assignment = assigner.assign_batch(&platform, &batch.requests);
-            progress.elapsed_secs += t.elapsed().as_secs_f64();
-            let outcome = platform.execute_batch(&batch.requests, &assignment);
-            progress.requests_failed += outcome.failed.len() as u64;
-            ledger.record_batch(&outcome);
-            // Mirror run_chaos batch-for-batch so a checkpointed prefix
-            // is bit-identical to the uninterrupted run.
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) {
-                let _ = assigner.assign_batch(&platform, &batch.requests);
-            }
-            assigner.repair_quarantined_brokers();
-        }
-        let feedback = platform.end_day();
-        let t = Instant::now();
-        assigner.end_day(&platform, &feedback);
-        progress.elapsed_secs += t.elapsed().as_secs_f64();
-        assigner.repair_quarantined_brokers();
-        ledger.end_day(feedback.realized);
-        progress.daily_utility.push(feedback.realized);
-        progress.daily_elapsed.push(progress.elapsed_secs);
-    }
-    progress.next_day = stop_after_day + 1;
-    Ok(Checkpoint::capture(
-        assigner.primary(),
-        &platform,
-        &ledger,
-        &progress,
-        assigner.pending_feedback(),
-        assigner.stats(),
-    ))
+    let mut engine =
+        Engine::lacb(&spiked, cfg, rcfg, plan, None).max_days(Some(stop_after_day + 1));
+    engine.run_to_end();
+    Ok(Checkpoint::capture(&engine))
 }
 
 /// Restore a checkpoint and finish the horizon. The returned metrics
@@ -890,58 +779,9 @@ pub fn resume_chaos(
     plan: FaultPlan,
 ) -> Result<RunMetrics, CheckpointError> {
     let spiked = dataset.with_batch_spikes(&plan);
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
-    let restored = ckpt.restore(cfg, &mut platform)?;
-    let Restored { matcher, mut ledger, mut progress, pending_feedback, stats, .. } = restored;
-    let mut assigner = ResilientAssigner::new(matcher, rcfg);
-    assigner.restore_channel(pending_feedback, stats);
-    for (d, day) in spiked.days.iter().enumerate().skip(progress.next_day) {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        progress.elapsed_secs += t0.elapsed().as_secs_f64();
-        for (b, batch) in day.iter().enumerate() {
-            let t = Instant::now();
-            let assignment = assigner.assign_batch(&platform, &batch.requests);
-            progress.elapsed_secs += t.elapsed().as_secs_f64();
-            let outcome = platform.execute_batch(&batch.requests, &assignment);
-            progress.requests_failed += outcome.failed.len() as u64;
-            ledger.record_batch(&outcome);
-            // Mirror run_chaos batch-for-batch (see run_chaos_until).
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) {
-                let _ = assigner.assign_batch(&platform, &batch.requests);
-            }
-            assigner.repair_quarantined_brokers();
-        }
-        let feedback = platform.end_day();
-        let t = Instant::now();
-        assigner.end_day(&platform, &feedback);
-        progress.elapsed_secs += t.elapsed().as_secs_f64();
-        assigner.repair_quarantined_brokers();
-        ledger.end_day(feedback.realized);
-        progress.daily_utility.push(feedback.realized);
-        progress.daily_elapsed.push(progress.elapsed_secs);
-    }
-    let mut stats = assigner.resilience_stats().unwrap_or_default();
-    stats.requests_failed = progress.requests_failed;
-    Ok(RunMetrics {
-        algorithm: assigner.name(),
-        total_utility: ledger.total_realized(),
-        elapsed_secs: progress.elapsed_secs,
-        daily_utility: progress.daily_utility,
-        daily_elapsed: progress.daily_elapsed,
-        ledger,
-        resilience: Some(stats),
-        overload: None,
-        timings: StageTimings::default(),
-        audit: assigner.take_audit_report(),
-        replication: None,
-        storage: None,
-    })
+    let mut engine = Engine::restore(&spiked, ckpt, cfg, rcfg, plan, None)?;
+    engine.run_to_end();
+    Ok(engine.finish().0)
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@ pub mod overload;
 pub mod replication;
 pub mod resilient;
 pub mod runner;
+pub mod serving;
 pub mod storage;
 pub mod supervisor;
 pub mod value_function;

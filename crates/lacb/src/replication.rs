@@ -1,20 +1,17 @@
 //! Replicated serving: deterministic WAL shipping over a simulated
 //! network, epoch-fenced failover, and bit-identical takeover.
 //!
-//! [`run_replicated`] drives a resilient LACB run exactly like
-//! [`crate::resilient::run_chaos`], but with a warm follower on the
-//! other end of a [`replica::SimLink`]:
+//! [`run_replicated`] drives two [`crate::serving`] pipelines, one at
+//! each end of a [`replica::SimLink`]:
 //!
-//! * the **primary** executes the serving loop, appends each
-//!   batch-granular record to its on-disk WAL, and ships the same
-//!   record as a checksummed, sequence-numbered, epoch-tagged
-//!   [`replica::Frame`] — one link tick per serving step;
+//! * the **primary** serves, appends each record to its on-disk WAL,
+//!   and ships it as a checksummed, sequence-numbered, epoch-tagged
+//!   [`replica::Frame`] — one link tick per serving unit;
 //! * the **follower** admits frames idempotently (duplicates dropped,
 //!   gaps buffered, torn or damaged frames rejected by CRC) and applies
-//!   each record with the same *recompute-and-verify* replay as
-//!   [`crate::supervisor`]: the record is recomputed by the follower's
-//!   own deterministic pipeline and compared bit-for-bit — a mismatch
-//!   is a typed [`ReplicationError::Divergence`], never silent drift;
+//!   each record by the core's recompute-and-verify replay
+//!   (`serving::Engine::verify_apply`) — a mismatch is a typed
+//!   [`ReplicationError::Divergence`], never silent drift;
 //! * the follower acks its applied watermark every tick; the primary
 //!   prunes its frame outbox and its on-disk WAL
 //!   ([`durability::Wal::prune_to_watermark`]) up to the acked day at
@@ -35,23 +32,22 @@
 //! state equal to an uninterrupted [`crate::resilient::run_chaos`] run,
 //! for every seeded kill point and network-fault scenario.
 
-use crate::assigner::Assigner;
-use crate::checkpoint::{Checkpoint, RunProgress};
+use crate::checkpoint::Checkpoint;
 use crate::lacb::{Lacb, LacbConfig};
 use crate::resilient::{ResilienceConfig, ResilientAssigner};
+use crate::serving::{Divergence, Engine, Hooks, Logged, Unit};
 use durability::{tmp_path, CheckpointStore, StdVfs, StoreError, Vfs, Wal, WalError, WalRecord};
 use platform_sim::{
-    BrokerLedger, Dataset, FaultPlan, KillPoint, NetDelivery, NetFaultPlan, Platform,
-    ReplicationStats, RunMetrics, StageTimings,
+    Dataset, FaultPlan, KillPoint, NetDelivery, NetFaultPlan, ReplicationStats, RunMetrics,
 };
 use replica::{
-    AckChannel, Admitted, Delivery, FailureDetector, Follower, FramePayload, Primary, SimLink,
+    AckChannel, Admitted, Delivery, FailureDetector, Follower, Frame, FramePayload, Primary,
+    SimLink,
 };
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// File name of the primary's WAL inside the replication directory.
 pub const REPLICA_WAL_FILE: &str = "primary.wal";
@@ -156,6 +152,12 @@ impl From<StoreError> for ReplicationError {
     }
 }
 
+impl From<Divergence> for ReplicationError {
+    fn from(Divergence { day, batch, detail }: Divergence) -> Self {
+        ReplicationError::Divergence { day, batch, detail }
+    }
+}
+
 /// What a completed replicated run reports.
 #[derive(Clone, Debug)]
 pub struct ReplicatedOutcome {
@@ -181,200 +183,83 @@ pub struct ReplicatedOutcome {
     pub wal_pruned: u64,
 }
 
-/// The next serving unit a pipeline will execute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Unit {
-    DayStart(usize),
-    Batch(usize, usize),
-    DayEnd(usize),
-    Done,
+/// The primary's side of the disk and the wire: its WAL and checkpoint
+/// store (each latched off by a tolerated storage fault) and the record
+/// its last serving step emitted, waiting to be shipped.
+#[derive(Default)]
+struct PrimaryLog {
+    wal: Option<Wal>,
+    store: Option<CheckpointStore>,
+    tolerant: bool,
+    storage_faults: u64,
+    checkpoints_skipped: u64,
+    prunes_skipped: u64,
+    wal_pruned: u64,
+    shipped: Option<WalRecord>,
 }
 
-/// One deterministic serving pipeline (platform + assigner + ledger),
-/// advanced one WAL-record-sized unit at a time. The primary drives one
-/// directly; the follower drives an identical twin by verified replay —
-/// and, after promotion, directly.
-struct Engine<'a> {
-    spiked: &'a Dataset,
-    plan: FaultPlan,
-    platform: Platform,
-    assigner: ResilientAssigner<Lacb>,
-    ledger: BrokerLedger,
-    daily_utility: Vec<f64>,
-    daily_elapsed: Vec<f64>,
-    elapsed: f64,
-    requests_failed: u64,
-    next_day: usize,
-    next_batch: usize,
-    day_open: bool,
-}
-
-impl<'a> Engine<'a> {
-    fn new(spiked: &'a Dataset, cfg: LacbConfig, rcfg: ResilienceConfig, plan: FaultPlan) -> Self {
-        let mut platform = Platform::from_dataset(spiked);
-        platform.enable_faults(plan);
-        let num_brokers = platform.num_brokers();
-        Engine {
-            spiked,
-            plan,
-            platform,
-            assigner: ResilientAssigner::new(Lacb::new(cfg), rcfg),
-            ledger: BrokerLedger::new(num_brokers),
-            daily_utility: Vec::new(),
-            daily_elapsed: Vec::new(),
-            elapsed: 0.0,
-            requests_failed: 0,
-            next_day: 0,
-            next_batch: 0,
-            day_open: false,
+impl PrimaryLog {
+    /// Count a storage fault when tolerated; fail the run otherwise.
+    fn tolerate(&mut self, e: impl Into<ReplicationError>) -> Result<(), ReplicationError> {
+        if !self.tolerant {
+            return Err(e.into());
         }
-    }
-
-    fn peek(&self) -> Unit {
-        if !self.day_open {
-            if self.next_day >= self.spiked.days.len() {
-                return Unit::Done;
-            }
-            return Unit::DayStart(self.next_day);
-        }
-        if self.next_batch < self.spiked.days[self.next_day].len() {
-            Unit::Batch(self.next_day, self.next_batch)
-        } else {
-            Unit::DayEnd(self.next_day)
-        }
-    }
-
-    /// Execute the next serving unit; returns the WAL record it
-    /// produced, or `None` when the horizon is complete. The per-batch
-    /// body — fault injection, duplicated delivery, quarantine repair —
-    /// mirrors [`crate::resilient::run_chaos`] exactly, so a replicated
-    /// run's state is bit-identical to a single-node one.
-    fn step(&mut self) -> Option<WalRecord> {
-        let spiked = self.spiked;
-        match self.peek() {
-            Unit::Done => None,
-            Unit::DayStart(d) => {
-                self.platform.begin_day();
-                let t = Instant::now();
-                self.assigner.begin_day(&self.platform, d);
-                self.elapsed += t.elapsed().as_secs_f64();
-                self.day_open = true;
-                self.next_batch = 0;
-                Some(WalRecord::DayStart { day: d })
-            }
-            Unit::Batch(d, b) => {
-                let requests = &spiked.days[d][b].requests;
-                let t = Instant::now();
-                let assignment = self.assigner.assign_batch(&self.platform, requests);
-                self.elapsed += t.elapsed().as_secs_f64();
-                let rec = WalRecord::Batch {
-                    day: d,
-                    batch: b,
-                    draws: self.platform.appeal_draws(),
-                    assignment: assignment.clone(),
-                };
-                let outcome = self.platform.execute_batch(requests, &assignment);
-                self.requests_failed += outcome.failed.len() as u64;
-                self.ledger.record_batch(&outcome);
-                if let Some(fault) = self.plan.state_fault(d, b, self.platform.num_brokers()) {
-                    self.assigner.inject_state_fault(&fault);
-                }
-                if self.plan.batch_replayed(d, b) {
-                    let _ = self.assigner.assign_batch(&self.platform, requests);
-                }
-                self.assigner.repair_quarantined_brokers();
-                self.next_batch += 1;
-                Some(rec)
-            }
-            Unit::DayEnd(d) => {
-                let feedback = self.platform.end_day();
-                let rec = WalRecord::DayEnd {
-                    day: d,
-                    realized_bits: feedback.realized.to_bits(),
-                    trials: feedback.trials.len(),
-                    draws: self.platform.appeal_draws(),
-                };
-                let t = Instant::now();
-                self.assigner.end_day(&self.platform, &feedback);
-                self.elapsed += t.elapsed().as_secs_f64();
-                self.assigner.repair_quarantined_brokers();
-                self.ledger.end_day(feedback.realized);
-                self.daily_utility.push(feedback.realized);
-                self.daily_elapsed.push(self.elapsed);
-                self.day_open = false;
-                self.next_day = d + 1;
-                Some(rec)
-            }
-        }
-    }
-
-    /// Recompute-and-verify replay of one shipped record: the record
-    /// must land at this engine's exact position, and re-executing the
-    /// unit must reproduce it bit-for-bit.
-    fn verify_apply(&mut self, rec: &WalRecord) -> Result<(), ReplicationError> {
-        let unit = self.peek();
-        let in_position = match (rec, unit) {
-            (WalRecord::DayStart { day }, Unit::DayStart(d)) => *day == d,
-            (WalRecord::Batch { day, batch, .. }, Unit::Batch(d, b)) => *day == d && *batch == b,
-            (WalRecord::DayEnd { day, .. }, Unit::DayEnd(d)) => *day == d,
-            _ => false,
-        };
-        if !in_position {
-            return Err(ReplicationError::Divergence {
-                day: rec.day(),
-                batch: None,
-                detail: format!("record {rec:?} arrived at pipeline position {unit:?}"),
-            });
-        }
-        let recomputed = self.step().expect("position matched, engine not done");
-        if recomputed != *rec {
-            let batch = match rec {
-                WalRecord::Batch { batch, .. } => Some(*batch),
-                _ => None,
-            };
-            return Err(ReplicationError::Divergence {
-                day: rec.day(),
-                batch,
-                detail: format!("shipped {rec:?} recomputed {recomputed:?}"),
-            });
-        }
+        self.storage_faults += 1;
         Ok(())
     }
 
-    fn run_to_end(&mut self) {
-        while self.step().is_some() {}
-    }
-
-    fn progress(&self) -> RunProgress {
-        RunProgress {
-            next_day: self.next_day,
-            elapsed_secs: self.elapsed,
-            daily_utility: self.daily_utility.clone(),
-            daily_elapsed: self.daily_elapsed.clone(),
-            requests_failed: self.requests_failed,
+    /// Append to the WAL, latching it off on a tolerated failure: the
+    /// follower's acked watermark is the durability story from there.
+    fn append(&mut self, rec: &WalRecord) -> Result<Logged, ReplicationError> {
+        let Some(w) = self.wal.as_mut() else { return Ok(Logged::Memory) };
+        match w.append(rec) {
+            Ok(()) => Ok(Logged::Disk),
+            Err(e) => {
+                self.tolerate(e)?;
+                self.wal = None;
+                Ok(Logged::Memory)
+            }
         }
     }
 
-    fn finish(mut self, replication: ReplicationStats) -> (RunMetrics, String) {
-        let mut stats = self.assigner.resilience_stats().unwrap_or_default();
-        stats.requests_failed = self.requests_failed;
-        let mut final_state = String::new();
-        self.assigner.primary().write_state(&mut final_state);
-        let metrics = RunMetrics {
-            algorithm: self.assigner.name(),
-            total_utility: self.ledger.total_realized(),
-            elapsed_secs: self.elapsed,
-            daily_utility: self.daily_utility,
-            daily_elapsed: self.daily_elapsed,
-            ledger: self.ledger,
-            resilience: Some(stats),
-            overload: None,
-            timings: StageTimings::default(),
-            audit: self.assigner.take_audit_report(),
-            replication: Some(replication),
-            storage: None,
-        };
-        (metrics, final_state)
+    /// Save the day-boundary checkpoint, log its WAL mark, and prune the
+    /// WAL to `prune_day` (the first unacked record's day). A degraded
+    /// WAL has nothing safe to prune — count the skip.
+    fn checkpoint(
+        &mut self,
+        next_day: usize,
+        text: &str,
+        prune_day: usize,
+    ) -> Result<(), ReplicationError> {
+        match self.store.as_ref().map(|s| s.save(next_day, text, None)) {
+            Some(Ok(_)) => {
+                self.append(&WalRecord::Checkpoint { next_day })?;
+            }
+            Some(Err(e)) => {
+                self.tolerate(e)?;
+                self.checkpoints_skipped += 1;
+            }
+            None => self.checkpoints_skipped += 1,
+        }
+        match self.wal.as_mut().map(|w| w.prune_to_watermark(prune_day)) {
+            Some(Ok(n)) => self.wal_pruned += n as u64,
+            Some(Err(e)) => {
+                self.tolerate(e)?;
+                self.prunes_skipped += 1;
+                self.wal = None;
+            }
+            None => self.prunes_skipped += 1,
+        }
+        Ok(())
+    }
+}
+
+impl Hooks<ResilientAssigner<Lacb>> for PrimaryLog {
+    type Error = ReplicationError;
+
+    fn log(&mut self, rec: &WalRecord) -> Result<Logged, ReplicationError> {
+        self.shipped = Some(rec.clone());
+        self.append(rec)
     }
 }
 
@@ -390,51 +275,105 @@ fn verdict(net: &NetFaultPlan, epoch: u64, seq: u64, attempt: u64) -> Delivery {
     }
 }
 
-/// One network round: tick the link, admit and verify-apply at the
-/// follower, ack the watermark, deliver acks to the primary, advance
-/// the failure detector, and promote on suspicion.
-#[allow(clippy::too_many_arguments)]
-fn exchange(
-    link: &mut SimLink,
-    acks: &mut AckChannel,
-    follower: &mut Follower,
-    engine_f: &mut Engine<'_>,
-    detector: &mut FailureDetector,
-    primary: &mut Primary,
-    primary_alive: &mut bool,
-    promoted: &mut bool,
-    promoted_at: &mut Option<(usize, usize)>,
-) -> Result<(), ReplicationError> {
-    let mut saw_traffic = false;
-    for bytes in link.tick() {
-        match follower.admit_bytes(&bytes) {
-            Admitted::Apply(recs) => {
-                saw_traffic = true;
-                for rec in recs {
-                    engine_f.verify_apply(&rec)?;
+/// Both ends of the simulated network: the link and ack channel, the
+/// primary and follower protocol nodes, the follower's own pipeline,
+/// and the failure detector that promotes it.
+struct Wire<'d> {
+    net: NetFaultPlan,
+    link: SimLink,
+    acks: AckChannel,
+    primary: Primary,
+    follower: Follower,
+    engine: Engine<'d, ResilientAssigner<Lacb>>,
+    detector: FailureDetector,
+    /// Transmissions so far per frame sequence number.
+    attempts: HashMap<u64, u64>,
+    /// Heartbeat fault draws use a disjoint attempt domain so they
+    /// never collide with record retransmission attempts.
+    hb_attempt: u64,
+    primary_alive: bool,
+    promoted: bool,
+    promoted_at: Option<(usize, usize)>,
+}
+
+impl Wire<'_> {
+    /// Send one record frame under its next seeded delivery verdict.
+    fn send(&mut self, frame: &Frame) {
+        let attempt = self.attempts.entry(frame.seq).or_insert(0);
+        let delivery = verdict(&self.net, self.primary.epoch(), frame.seq, *attempt);
+        self.link.send(&frame.encode(), delivery);
+        *attempt += 1;
+    }
+
+    fn heartbeat(&mut self) {
+        let hb = self.primary.heartbeat();
+        let delivery = verdict(&self.net, self.primary.epoch(), hb.seq, self.hb_attempt);
+        self.link.send(&hb.encode(), delivery);
+        self.hb_attempt += 1;
+    }
+
+    /// Resend the whole unacked outbox.
+    fn retransmit(&mut self) {
+        for f in self.primary.retransmit() {
+            self.send(&f);
+        }
+    }
+
+    fn partitioned(&self) -> bool {
+        self.net.partitioned(self.primary.epoch(), self.link.now())
+    }
+
+    /// One network round: tick the link, admit and verify-apply at the
+    /// follower, ack the watermark, deliver acks to the primary, advance
+    /// the failure detector, and promote on suspicion.
+    fn exchange(&mut self) -> Result<(), ReplicationError> {
+        let mut saw_traffic = false;
+        for bytes in self.link.tick() {
+            match self.follower.admit_bytes(&bytes) {
+                Admitted::Apply(recs) => {
+                    saw_traffic = true;
+                    for rec in recs {
+                        self.engine.verify_apply(rec)?;
+                    }
+                }
+                Admitted::Heartbeat => saw_traffic = true,
+                Admitted::Ignored => {}
+            }
+        }
+        if !self.promoted {
+            self.acks.send(self.follower.epoch(), self.follower.watermark());
+        }
+        for (epoch, watermark) in self.acks.tick() {
+            if self.primary_alive {
+                self.primary.ack(epoch, watermark);
+                if self.primary.deposed() {
+                    self.primary_alive = false;
                 }
             }
-            Admitted::Heartbeat => saw_traffic = true,
-            Admitted::Ignored => {}
         }
+        if !self.promoted && self.detector.tick(saw_traffic) {
+            self.follower.promote();
+            self.promoted = true;
+            self.promoted_at = Some(self.engine.position());
+        }
+        Ok(())
     }
-    if !*promoted {
-        acks.send(follower.epoch(), follower.watermark());
-    }
-    for (epoch, watermark) in acks.tick() {
-        if *primary_alive {
-            primary.ack(epoch, watermark);
-            if primary.deposed() {
-                *primary_alive = false;
+
+    /// Exchange until `done`, failing with `stalled` past the
+    /// convergence guard.
+    fn exchange_until(
+        &mut self,
+        mut done: impl FnMut(&mut Self) -> bool,
+        stalled: impl Fn(&Self) -> String,
+    ) -> Result<(), ReplicationError> {
+        for _ in 0..=CONVERGENCE_GUARD_TICKS {
+            if done(self) {
+                return Ok(());
             }
+            self.exchange()?;
         }
+        Err(ReplicationError::Protocol(stalled(self)))
     }
-    if !*promoted && detector.tick(saw_traffic) {
-        follower.promote();
-        *promoted = true;
-        *promoted_at = Some((engine_f.next_day, engine_f.next_batch));
-    }
-    Ok(())
 }
 
 /// Run a primary/follower replicated serving pair over the whole
@@ -450,293 +389,159 @@ pub fn run_replicated(
     repl: &ReplicationConfig,
 ) -> Result<ReplicatedOutcome, ReplicationError> {
     let spiked = dataset.with_batch_spikes(&plan);
-    let mut primary_storage_faults: u64 = 0;
-    let mut checkpoints_skipped: u64 = 0;
-    let mut prunes_skipped: u64 = 0;
-    let store = match CheckpointStore::open_with(repl.vfs.clone(), &repl.dir, repl.keep) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            if !repl.tolerate_storage_faults {
-                return Err(e.into());
-            }
-            primary_storage_faults += 1;
-            None
-        }
-    };
+    let mut disk = PrimaryLog { tolerant: repl.tolerate_storage_faults, ..PrimaryLog::default() };
+    match CheckpointStore::open_with(repl.vfs.clone(), &repl.dir, repl.keep) {
+        Ok(s) => disk.store = Some(s),
+        Err(e) => disk.tolerate(e)?,
+    }
     // The replicated primary starts a fresh log; composing replication
     // with single-node crash recovery is `supervisor`'s job.
-    let mut wal = match Wal::recover_with(repl.vfs.clone(), &repl.dir.join(REPLICA_WAL_FILE)) {
-        Ok((w, _, _)) => Some(w),
-        Err(e) => {
-            if !repl.tolerate_storage_faults {
-                return Err(e.into());
-            }
-            primary_storage_faults += 1;
-            None
-        }
-    };
+    match Wal::recover_with(repl.vfs.clone(), &repl.dir.join(REPLICA_WAL_FILE)) {
+        Ok((w, _, _)) => disk.wal = Some(w),
+        Err(e) => disk.tolerate(e)?,
+    }
 
-    let mut engine_p = Engine::new(&spiked, cfg.clone(), rcfg.clone(), plan);
-    let mut engine_f = Engine::new(&spiked, cfg, rcfg, plan);
-    let mut primary = Primary::new(0);
-    let mut follower = Follower::new(0);
-    let mut detector = FailureDetector::new(repl.heartbeat_timeout);
-    let mut link = SimLink::new();
-    let mut acks = AckChannel::new();
-    let mut attempts: HashMap<u64, u64> = HashMap::new();
-    // Heartbeat fault draws use a disjoint attempt domain so they never
-    // collide with record retransmission attempts.
-    let mut hb_attempt: u64 = 1 << 40;
-    let mut primary_alive = true;
-    let mut promoted = false;
-    let mut promoted_at: Option<(usize, usize)> = None;
-    let mut wal_pruned: u64 = 0;
+    let mut engine = Engine::lacb(&spiked, cfg.clone(), rcfg.clone(), plan, None);
+    let mut w = Wire {
+        net,
+        link: SimLink::new(),
+        acks: AckChannel::new(),
+        primary: Primary::new(0),
+        follower: Follower::new(0),
+        engine: Engine::lacb(&spiked, cfg, rcfg, plan, None),
+        detector: FailureDetector::new(repl.heartbeat_timeout),
+        attempts: HashMap::new(),
+        hb_attempt: 1 << 40,
+        primary_alive: true,
+        promoted: false,
+        promoted_at: None,
+    };
     let mut stall_ticks: u64 = 0;
     let mut last_acked: u64 = 0;
 
     // Phase 1: the primary serves, one unit per link tick.
-    while primary_alive && !promoted && engine_p.peek() != Unit::Done {
-        let partitioned = net.partitioned(primary.epoch(), link.now());
-        if let (Some(KillPoint::BeforeDayEnd { day }), Unit::DayEnd(d)) =
-            (repl.kill, engine_p.peek())
+    while w.primary_alive && !w.promoted && engine.peek() != Unit::Done {
+        let partitioned = w.partitioned();
+        if let (Some(KillPoint::BeforeDayEnd { day }), Unit::DayEnd(d)) = (repl.kill, engine.peek())
         {
-            if d == day {
-                primary_alive = false;
-            }
+            w.primary_alive = d != day;
         }
-        if primary_alive {
-            let rec = engine_p.step().expect("peeked not done");
-            if let Some(w) = wal.as_mut() {
-                if let Err(e) = w.append(&rec) {
-                    if !repl.tolerate_storage_faults {
-                        return Err(e.into());
-                    }
-                    // Latch the WAL off; the follower's acked watermark
-                    // is the durability story from here on.
-                    primary_storage_faults += 1;
-                    wal = None;
-                }
-            }
-            let frame = primary.ship(rec.clone());
-            let line = frame.encode();
-            let mid_frame_kill = match (repl.kill, &rec) {
-                (
-                    Some(KillPoint::MidFrame { day, batch }),
-                    WalRecord::Batch { day: rd, batch: rb, .. },
-                ) => day == *rd && batch == *rb,
-                _ => false,
+        if w.primary_alive {
+            engine.step(&mut disk)?;
+            let rec = disk.shipped.take().expect("every serving unit emits one record");
+            let batch = match rec {
+                WalRecord::Batch { day, batch, .. } => Some((day, batch)),
+                _ => None,
             };
-            if mid_frame_kill {
+            let frame = w.primary.ship(rec.clone());
+            if batch
+                .is_some_and(|(day, batch)| repl.kill == Some(KillPoint::MidFrame { day, batch }))
+            {
                 // The primary dies halfway through the send: the wire
                 // carries a torn prefix the follower's CRC must reject.
-                link.send_raw(line.as_bytes()[..line.len() / 2].to_vec());
-                primary_alive = false;
+                let line = frame.encode();
+                w.link.send_raw(line.as_bytes()[..line.len() / 2].to_vec());
+                w.primary_alive = false;
             } else if !partitioned {
-                let attempt = attempts.entry(frame.seq).or_insert(0);
-                link.send(&line, verdict(&net, primary.epoch(), frame.seq, *attempt));
-                *attempt += 1;
+                w.send(&frame);
             }
-            if let (
-                Some(KillPoint::AfterBatch { day, batch }),
-                WalRecord::Batch { day: rd, batch: rb, .. },
-            ) = (repl.kill, &rec)
+            if batch
+                .is_some_and(|(day, batch)| repl.kill == Some(KillPoint::AfterBatch { day, batch }))
             {
-                if day == *rd && batch == *rb {
-                    primary_alive = false;
+                w.primary_alive = false;
+            }
+            if let (true, WalRecord::DayEnd { day: d, .. }) = (w.primary_alive, rec) {
+                let text = Checkpoint::capture(&engine).with_epoch(w.primary.epoch()).to_v2_text();
+                if repl.kill == Some(KillPoint::MidCheckpoint { day: d }) {
+                    // Dying mid-write leaves a torn tmp that the atomic
+                    // rename never promoted — invisible to every reader,
+                    // exactly like a crashed save.
+                    let healthy = disk.store.as_ref().expect("kill harness runs on a healthy disk");
+                    let tmp = tmp_path(&healthy.generation_path(d + 1));
+                    repl.vfs.write(&tmp, &text.as_bytes()[..text.len() / 2]).map_err(|e| {
+                        ReplicationError::Protocol(format!("torn tmp write failed: {e}"))
+                    })?;
+                    w.primary_alive = false;
+                } else {
+                    // Prune below the acked watermark: keep from the first
+                    // unacked record's day (or drop everything when fully
+                    // acked).
+                    let prune_day = match w.primary.retransmit().first().map(|f| &f.payload) {
+                        Some(FramePayload::Record(r)) => r.day(),
+                        _ => d + 1,
+                    };
+                    disk.checkpoint(d + 1, &text, prune_day)?;
+                    w.primary_alive = repl.kill != Some(KillPoint::AfterCheckpoint { day: d });
                 }
             }
-            if primary_alive {
-                if let WalRecord::DayEnd { day: d, .. } = rec {
-                    let ckpt = Checkpoint::capture(
-                        engine_p.assigner.primary(),
-                        &engine_p.platform,
-                        &engine_p.ledger,
-                        &engine_p.progress(),
-                        engine_p.assigner.pending_feedback(),
-                        engine_p.assigner.stats(),
-                    )
-                    .with_epoch(primary.epoch());
-                    let text = ckpt.to_v2_text();
-                    if repl.kill == Some(KillPoint::MidCheckpoint { day: d }) {
-                        // Dying mid-write leaves a torn tmp that the
-                        // atomic rename never promoted — invisible to
-                        // every reader, exactly like a crashed save.
-                        let healthy = store.as_ref().expect("kill harness runs on a healthy disk");
-                        let tmp = tmp_path(&healthy.generation_path(d + 1));
-                        std::fs::write(&tmp, &text.as_bytes()[..text.len() / 2]).map_err(|e| {
-                            ReplicationError::Protocol(format!("torn tmp write failed: {e}"))
-                        })?;
-                        primary_alive = false;
-                    } else {
-                        match store.as_ref().map(|s| s.save(d + 1, &text, None)) {
-                            Some(Ok(_)) => {
-                                if let Some(w) = wal.as_mut() {
-                                    if let Err(e) =
-                                        w.append(&WalRecord::Checkpoint { next_day: d + 1 })
-                                    {
-                                        if !repl.tolerate_storage_faults {
-                                            return Err(e.into());
-                                        }
-                                        primary_storage_faults += 1;
-                                        wal = None;
-                                    }
-                                }
-                            }
-                            Some(Err(e)) => {
-                                if !repl.tolerate_storage_faults {
-                                    return Err(e.into());
-                                }
-                                primary_storage_faults += 1;
-                                checkpoints_skipped += 1;
-                            }
-                            None => checkpoints_skipped += 1,
-                        }
-                        // Prune the WAL below the acked watermark: keep
-                        // from the first unacked record's day (or drop
-                        // everything when fully acked). A degraded WAL
-                        // has nothing safe to prune — count the skip.
-                        let prune_day = match primary.retransmit().first().map(|f| &f.payload) {
-                            Some(FramePayload::Record(r)) => r.day(),
-                            _ => d + 1,
-                        };
-                        match wal.as_mut() {
-                            Some(w) => match w.prune_to_watermark(prune_day) {
-                                Ok(n) => wal_pruned += n as u64,
-                                Err(e) => {
-                                    if !repl.tolerate_storage_faults {
-                                        return Err(e.into());
-                                    }
-                                    primary_storage_faults += 1;
-                                    prunes_skipped += 1;
-                                    wal = None;
-                                }
-                            },
-                            None => prunes_skipped += 1,
-                        }
-                        if repl.kill == Some(KillPoint::AfterCheckpoint { day: d }) {
-                            primary_alive = false;
-                        }
-                    }
-                }
-            }
-            if primary_alive && !partitioned {
-                let hb = primary.heartbeat();
-                link.send(&hb.encode(), verdict(&net, primary.epoch(), hb.seq, hb_attempt));
-                hb_attempt += 1;
-            }
-            if primary_alive && !partitioned && stall_ticks >= repl.retransmit_after {
-                for f in primary.retransmit() {
-                    let attempt = attempts.entry(f.seq).or_insert(0);
-                    link.send(&f.encode(), verdict(&net, primary.epoch(), f.seq, *attempt));
-                    *attempt += 1;
+            if w.primary_alive && !partitioned {
+                w.heartbeat();
+                if stall_ticks >= repl.retransmit_after {
+                    w.retransmit();
                 }
             }
         }
-        exchange(
-            &mut link,
-            &mut acks,
-            &mut follower,
-            &mut engine_f,
-            &mut detector,
-            &mut primary,
-            &mut primary_alive,
-            &mut promoted,
-            &mut promoted_at,
-        )?;
-        if primary.acked() > last_acked {
-            last_acked = primary.acked();
+        w.exchange()?;
+        if w.primary.acked() > last_acked {
+            last_acked = w.primary.acked();
             stall_ticks = 0;
         } else {
             stall_ticks += 1;
         }
     }
 
-    // Phase 2a: the primary finished serving — keep heartbeating and
-    // retransmitting until the follower's watermark catches up.
-    if primary_alive && !promoted {
-        let mut guard = 0u64;
-        while primary_alive && !promoted && follower.watermark() < primary.next_seq() {
-            if !net.partitioned(primary.epoch(), link.now()) {
-                let hb = primary.heartbeat();
-                link.send(&hb.encode(), verdict(&net, primary.epoch(), hb.seq, hb_attempt));
-                hb_attempt += 1;
-                for f in primary.retransmit() {
-                    let attempt = attempts.entry(f.seq).or_insert(0);
-                    link.send(&f.encode(), verdict(&net, primary.epoch(), f.seq, *attempt));
-                    *attempt += 1;
+    if w.primary_alive && !w.promoted {
+        // Phase 2a: the primary finished serving — keep heartbeating and
+        // retransmitting until the follower's watermark catches up.
+        w.exchange_until(
+            |w| {
+                let synced = !w.primary_alive
+                    || w.promoted
+                    || w.follower.watermark() >= w.primary.next_seq();
+                if !synced && !w.partitioned() {
+                    w.heartbeat();
+                    w.retransmit();
                 }
-            }
-            exchange(
-                &mut link,
-                &mut acks,
-                &mut follower,
-                &mut engine_f,
-                &mut detector,
-                &mut primary,
-                &mut primary_alive,
-                &mut promoted,
-                &mut promoted_at,
-            )?;
-            guard += 1;
-            if guard > CONVERGENCE_GUARD_TICKS {
-                return Err(ReplicationError::Protocol(format!(
+                synced
+            },
+            |w| {
+                format!(
                     "tail sync stalled: follower watermark {} vs primary seq {}",
-                    follower.watermark(),
-                    primary.next_seq()
-                )));
-            }
-        }
+                    w.follower.watermark(),
+                    w.primary.next_seq()
+                )
+            },
+        )?;
     }
-
-    // Phase 2b: the primary is dead — tick silence (and the in-flight
-    // tail) until the failure detector fires and the follower promotes.
-    if !primary_alive && !promoted {
-        let mut guard = 0u64;
-        while !promoted {
-            exchange(
-                &mut link,
-                &mut acks,
-                &mut follower,
-                &mut engine_f,
-                &mut detector,
-                &mut primary,
-                &mut primary_alive,
-                &mut promoted,
-                &mut promoted_at,
-            )?;
-            guard += 1;
-            if guard > CONVERGENCE_GUARD_TICKS {
-                return Err(ReplicationError::Protocol(
-                    "failure detector never fired after primary death".into(),
-                ));
-            }
-        }
+    if !w.primary_alive && !w.promoted {
+        // Phase 2b: the primary is dead — tick silence (and the in-flight
+        // tail) until the failure detector fires and the follower promotes.
+        w.exchange_until(
+            |w| w.promoted,
+            |_| "failure detector never fired after primary death".into(),
+        )?;
     }
 
     // Phase 3: after a takeover, the wire still holds the old primary's
     // unacked transmissions. Replaying them proves the fence: every
     // old-epoch frame must be rejected, none may move the watermark.
-    if promoted {
-        for f in primary.retransmit() {
-            let _ = follower.admit(f);
+    if w.promoted {
+        for f in w.primary.retransmit() {
+            let _ = w.follower.admit(f);
         }
-        let _ = follower.admit(primary.heartbeat());
-        for bytes in link.drain() {
-            let _ = follower.admit_bytes(&bytes);
+        let _ = w.follower.admit(w.primary.heartbeat());
+        for bytes in w.link.drain() {
+            let _ = w.follower.admit_bytes(&bytes);
         }
-        engine_f.run_to_end();
+        w.engine.run_to_end();
     }
 
-    let follower_converged = if promoted {
-        None
-    } else {
-        let mut follower_state = String::new();
-        engine_f.assigner.primary().write_state(&mut follower_state);
-        let mut primary_state = String::new();
-        engine_p.assigner.primary().write_state(&mut primary_state);
-        Some(follower_state == primary_state && follower.watermark() == primary.next_seq())
-    };
-
+    let (primary, follower, link) = (&w.primary, &w.follower, &w.link);
+    let promoted = w.promoted;
+    let follower_converged = (!promoted).then(|| {
+        w.engine.learned_state() == engine.learned_state()
+            && follower.watermark() == primary.next_seq()
+    });
     let replication = ReplicationStats {
         epoch: if promoted { follower.epoch() } else { primary.epoch() },
         promotions: follower.stats().promotions,
@@ -747,28 +552,25 @@ pub fn run_replicated(
         reordered_buffered: follower.stats().reordered_buffered,
         corrupt_rejected: follower.stats().corrupt_rejected,
         stale_epoch_rejected: follower.stats().stale_epoch_rejected,
-        heartbeats_missed: detector.total_missed(),
+        heartbeats_missed: w.detector.total_missed(),
         acked_watermark: primary.acked(),
-        pruned_records: wal_pruned,
+        pruned_records: disk.wal_pruned,
         max_lag: primary.max_lag(),
-        primary_storage_faults,
-        checkpoints_skipped,
-        prunes_skipped,
+        primary_storage_faults: disk.storage_faults,
+        checkpoints_skipped: disk.checkpoints_skipped,
+        prunes_skipped: disk.prunes_skipped,
     };
-
-    let (metrics, final_state) = if promoted {
-        engine_f.finish(replication.clone())
-    } else {
-        engine_p.finish(replication.clone())
-    };
+    let (mut metrics, final_state) =
+        if promoted { w.engine.finish_lacb() } else { engine.finish_lacb() };
+    metrics.replication = Some(replication.clone());
     Ok(ReplicatedOutcome {
         metrics,
         final_state,
         promoted,
-        promoted_at,
+        promoted_at: w.promoted_at,
         replication,
         follower_converged,
-        wal_pruned,
+        wal_pruned: disk.wal_pruned,
     })
 }
 

@@ -29,12 +29,13 @@
 
 use crate::assigner::Assigner;
 use crate::runner::RunConfig;
+use crate::serving::Engine;
 use matching::greedy::greedy_assignment;
 use matching::hungarian::sanitize_utilities;
 use matching::UtilityMatrix;
 use platform_sim::{
-    AuditReport, BrokerLedger, Dataset, DayFeedback, FaultPlan, Platform, Request, ResilienceStats,
-    RunMetrics, StageTimings, StateFault,
+    AuditReport, Dataset, DayFeedback, FaultPlan, Platform, Request, ResilienceStats, RunMetrics,
+    StateFault,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -249,26 +250,34 @@ impl<A: Assigner> ResilientAssigner<A> {
     /// Deliver end-of-day feedback through the lossy channel: merge any
     /// queued delayed day, retry a lost delivery with exponential
     /// backoff, and degrade to an empty feedback if the day stays lost.
-    fn channel_deliver(&mut self, plan: &FaultPlan, feedback: &DayFeedback) -> DayFeedback {
+    /// Without a fault schedule the channel is perfect.
+    fn channel_deliver(&mut self, plan: Option<&FaultPlan>, feedback: &DayFeedback) -> DayFeedback {
         let mut merged = self.pending_feedback.take().unwrap_or_default();
-        if plan.feedback_delayed(self.day) {
-            self.stats.feedback_delayed_days += 1;
-            self.pending_feedback = Some(feedback.clone());
-            return merged;
-        }
-        let mut attempt = 0usize;
-        let mut budget = self.cfg.retry_deadline;
-        let mut delivered = !plan.feedback_lost(self.day, attempt);
-        while !delivered && attempt < self.cfg.max_feedback_retries {
-            let delay = backoff_delay(self.cfg.backoff_base, self.cfg.backoff_cap, budget, attempt);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-                budget -= delay;
+        let delivered = match plan {
+            None => true,
+            Some(plan) if plan.feedback_delayed(self.day) => {
+                self.stats.feedback_delayed_days += 1;
+                self.pending_feedback = Some(feedback.clone());
+                return merged;
             }
-            attempt += 1;
-            self.stats.feedback_retries += 1;
-            delivered = !plan.feedback_lost(self.day, attempt);
-        }
+            Some(plan) => {
+                let mut attempt = 0usize;
+                let mut budget = self.cfg.retry_deadline;
+                let mut delivered = !plan.feedback_lost(self.day, attempt);
+                while !delivered && attempt < self.cfg.max_feedback_retries {
+                    let (base, cap) = (self.cfg.backoff_base, self.cfg.backoff_cap);
+                    let delay = backoff_delay(base, cap, budget, attempt);
+                    if !delay.is_zero() {
+                        std::thread::sleep(delay);
+                        budget -= delay;
+                    }
+                    attempt += 1;
+                    self.stats.feedback_retries += 1;
+                    delivered = !plan.feedback_lost(self.day, attempt);
+                }
+                delivered
+            }
+        };
         if delivered {
             merged.trials.extend(feedback.trials.iter().cloned());
             merged.realized += feedback.realized;
@@ -322,18 +331,7 @@ impl<A: Assigner> Assigner for ResilientAssigner<A> {
     }
 
     fn end_day(&mut self, platform: &Platform, feedback: &DayFeedback) {
-        let delivered = match platform.fault_plan() {
-            Some(plan) => {
-                let plan = *plan;
-                self.channel_deliver(&plan, feedback)
-            }
-            None => {
-                let mut merged = self.pending_feedback.take().unwrap_or_default();
-                merged.trials.extend(feedback.trials.iter().cloned());
-                merged.realized += feedback.realized;
-                merged
-            }
-        };
+        let delivered = self.channel_deliver(platform.fault_plan(), feedback);
         if catch_unwind(AssertUnwindSafe(|| self.primary.end_day(platform, &delivered))).is_err() {
             self.stats.primary_panics += 1;
         }
@@ -373,78 +371,9 @@ pub fn run_chaos(
     plan: FaultPlan,
 ) -> RunMetrics {
     let spiked = dataset.with_batch_spikes(&plan);
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
-    let mut ledger = BrokerLedger::new(platform.num_brokers());
-    let mut elapsed = 0.0f64;
-    let mut daily_utility = Vec::new();
-    let mut daily_elapsed = Vec::new();
-    let mut timings = StageTimings::default();
-    let mut requests_failed = 0u64;
-
-    let days = match cfg.max_days {
-        Some(d) => d.min(spiked.days.len()),
-        None => spiked.days.len(),
-    };
-    for (d, day) in spiked.days.iter().take(days).enumerate() {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        let dt = t0.elapsed().as_secs_f64();
-        elapsed += dt;
-        timings.begin_day_secs.push(dt);
-        for (b, batch) in day.iter().enumerate() {
-            let t = Instant::now();
-            let assignment = assigner.assign_batch(&platform, &batch.requests);
-            let dt = t.elapsed().as_secs_f64();
-            elapsed += dt;
-            timings.assign_batch_secs.push(dt);
-            let outcome = platform.execute_batch(&batch.requests, &assignment);
-            requests_failed += outcome.failed.len() as u64;
-            ledger.record_batch(&outcome);
-            // Seeded state corruption and duplicated batch delivery land
-            // after execution — the assigner's own audits must catch and
-            // repair them before the next batch is matched.
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) {
-                // The replayed batch re-enters the matcher (mutating its
-                // learned state twice); its output is discarded because
-                // the platform already executed the original delivery.
-                let _ = assigner.assign_batch(&platform, &batch.requests);
-            }
-            assigner.repair_quarantined_brokers();
-        }
-        let feedback = platform.end_day();
-        let t = Instant::now();
-        assigner.end_day(&platform, &feedback);
-        let dt = t.elapsed().as_secs_f64();
-        elapsed += dt;
-        timings.end_day_secs.push(dt);
-        // Deep-audit quarantines must not cross the day boundary.
-        assigner.repair_quarantined_brokers();
-        ledger.end_day(feedback.realized);
-        daily_utility.push(feedback.realized);
-        daily_elapsed.push(elapsed);
-    }
-
-    let mut stats = assigner.resilience_stats().unwrap_or_default();
-    stats.requests_failed = requests_failed;
-    RunMetrics {
-        algorithm: assigner.name(),
-        total_utility: ledger.total_realized(),
-        elapsed_secs: elapsed,
-        daily_utility,
-        daily_elapsed,
-        ledger,
-        resilience: Some(stats),
-        overload: None,
-        timings,
-        audit: assigner.take_audit_report(),
-        replication: None,
-        storage: None,
-    }
+    let mut engine = Engine::new(&spiked, Some(plan), assigner).max_days(cfg.max_days);
+    engine.run_to_end();
+    engine.finish().0
 }
 
 #[cfg(test)]

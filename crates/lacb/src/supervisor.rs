@@ -1,52 +1,42 @@
 //! Crash-consistent serving: the durable run loop and its recovery path.
 //!
-//! [`run_durable`] drives a resilient LACB run exactly like
-//! [`crate::resilient::run_chaos`], but makes every step recoverable:
-//!
-//! * each batch's assignment (and the appeal-draw counter proving RNG
-//!   position) is appended to a checksummed WAL **before** it is
-//!   executed against the platform;
-//! * each day boundary cuts a `caam-ckpt v2` checkpoint into a
-//!   generation store via an atomic tmp+rename write, then logs a
-//!   checkpoint mark in the WAL.
+//! [`run_durable`] serves through the [`crate::serving`] core with hooks
+//! that make every step recoverable: each record is appended to a
+//! checksummed WAL **before** the pipeline applies it, and each day
+//! boundary cuts a `caam-ckpt v2` checkpoint into a generation store via
+//! an atomic tmp+rename write, then logs a checkpoint mark in the WAL.
 //!
 //! On startup the same function *is* the recovery path: it truncates
 //! any torn WAL tail, restores the newest checkpoint that verifies
 //! (falling back generation by generation to the last known good, or to
-//! a fresh start when none exists), and **replays** the WAL tail. The
-//! pipeline is a pure function of its seeds, so replay means
-//! *recompute and verify*: each replayed batch is recomputed by the
-//! restored matcher and checked bit-for-bit against the logged record —
-//! a mismatch is a typed [`RecoveryError::Divergence`], never a silent
-//! drift. After the tail is consumed the loop continues live, so a
-//! recovered run finishes with metrics and learned state bit-identical
-//! to an uninterrupted one (the `caam crash-test` harness asserts
-//! exactly this across every seeded [`CrashPoint`]).
+//! a fresh start when none exists), and queues the WAL tail for the
+//! core's recompute-and-verify replay — a mismatch is a typed
+//! [`RecoveryError::Divergence`], never a silent drift. After the tail
+//! the loop continues live, so a recovered run finishes with metrics and
+//! learned state bit-identical to an uninterrupted one (the `caam
+//! crash-test` harness asserts exactly this across every seeded
+//! [`CrashPoint`]).
 //!
-//! Crash injection rides the same loop: a [`DurableConfig::crash`]
+//! Crash injection rides the same hooks: a [`DurableConfig::crash`]
 //! point panics at the matching boundary (after a batch, halfway
 //! through a WAL append, before/halfway-through/after a checkpoint
 //! write), leaving on disk exactly what a power cut would.
 
 use crate::assigner::Assigner;
-use crate::checkpoint::{Checkpoint, CheckpointError, RunProgress};
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::lacb::{Lacb, LacbConfig};
-use crate::overload::{OverloadConfig, OverloadState};
+use crate::overload::OverloadConfig;
 use crate::resilient::{ResilienceConfig, ResilientAssigner};
+use crate::serving::{Divergence, Engine, Hooks, Logged, Unit};
 use crate::storage::{FaultSite, StorageConfig, StorageGuard};
 use durability::{
     parse_v2_section, CheckpointStore, StdVfs, StoreError, Vfs, Wal, WalError, WalRecord,
     WalRecovery, WriteCrash,
 };
-use platform_sim::{
-    BrokerLedger, CrashPoint, Dataset, FaultPlan, Platform, ResilienceStats, RunMetrics,
-    StageTimings, StorageMode,
-};
-use std::collections::VecDeque;
+use platform_sim::{CrashPoint, Dataset, FaultPlan, RunMetrics, StorageMode};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// File name of the serving WAL inside the durable directory.
 pub const WAL_FILE: &str = "serving.wal";
@@ -152,6 +142,12 @@ impl From<StoreError> for RecoveryError {
     }
 }
 
+impl From<Divergence> for RecoveryError {
+    fn from(Divergence { day, batch, detail }: Divergence) -> Self {
+        RecoveryError::Divergence { day, batch, detail }
+    }
+}
+
 /// What a completed durable run reports.
 #[derive(Clone, Debug)]
 pub struct DurableOutcome {
@@ -173,96 +169,25 @@ pub struct DurableOutcome {
     pub wal_recovery: WalRecovery,
 }
 
-/// Restore the newest checkpoint that verifies, falling back
-/// generation by generation. Returns the restored pipeline state (or
-/// `None` for a fresh start) plus how many generations were skipped.
-#[allow(clippy::type_complexity)]
-fn restore_last_good(
-    store: Option<&CheckpointStore>,
-    cfg: &LacbConfig,
-    platform: &mut Platform,
-) -> (Option<(usize, crate::checkpoint::Restored)>, usize) {
-    let Some(store) = store else {
-        // The store never opened (degraded from birth): fresh start.
-        return (None, 0);
-    };
+/// The newest checkpoint generation at or before day `max_day` that
+/// `parse` accepts, plus how many newer generations it rejected on the
+/// way there.
+fn newest_good<T>(
+    store: &CheckpointStore,
+    max_day: usize,
+    parse: impl Fn(String) -> Option<T>,
+) -> (Option<(usize, T)>, usize) {
     let mut skipped = 0;
     for (day, path) in store.generations() {
-        let restored = store
-            .read(&path)
-            .map_err(|e| CheckpointError::Io {
-                path: path.display().to_string(),
-                kind: e.kind,
-                detail: e.detail,
-            })
-            .and_then(|text| Checkpoint::from_text(&text))
-            .and_then(|ckpt| ckpt.restore(cfg.clone(), platform));
-        match restored {
-            Ok(r) => return (Some((day, r)), skipped),
-            Err(_) => skipped += 1,
+        if day > max_day {
+            continue;
+        }
+        match store.read(&path).ok().and_then(&parse) {
+            Some(v) => return (Some((day, v)), skipped),
+            None => skipped += 1,
         }
     }
     (None, skipped)
-}
-
-/// Load the newest checkpoint generation (at most `max_generation`)
-/// whose matcher section verifies, parsed into a standalone [`Lacb`]
-/// donor for per-broker quarantine repair.
-///
-/// Verification is section-granular ([`parse_v2_section`]): a
-/// checkpoint torn in an unrelated section still donates its matcher
-/// state. The `max_generation` cap (the current day) makes donor
-/// selection identical in the live run and in crash-recovery replay —
-/// a torn next-generation file left by a mid-checkpoint crash can
-/// never be chosen during replay when the live run could not see it.
-fn load_repair_donor(
-    store: &CheckpointStore,
-    cfg: &LacbConfig,
-    num_brokers: usize,
-    max_generation: usize,
-) -> Option<(usize, Lacb)> {
-    for (day, path) in store.generations() {
-        if day > max_generation {
-            continue;
-        }
-        let donor = store
-            .read(&path)
-            .ok()
-            .and_then(|text| parse_v2_section(&text, "matcher").ok())
-            .and_then(|section| {
-                Lacb::read_state(&mut section.lines(), cfg.clone(), num_brokers).ok()
-            });
-        if let Some(donor) = donor {
-            return Some((day, donor));
-        }
-    }
-    None
-}
-
-/// Repair any audit-quarantined brokers: selective per-broker restore
-/// from the newest good checkpoint generation when one exists, falling
-/// back to re-initialization. No-op on a healthy matcher.
-fn repair_via_store(
-    assigner: &mut ResilientAssigner<Lacb>,
-    store: Option<&CheckpointStore>,
-    cfg: &LacbConfig,
-    num_brokers: usize,
-    current_day: usize,
-) {
-    if !assigner.primary().has_quarantined_brokers() {
-        return;
-    }
-    match store.and_then(|s| load_repair_donor(s, cfg, num_brokers, current_day)) {
-        Some((generation, donor)) => assigner.primary_mut().repair_from_donor(&donor, generation),
-        None => assigner.repair_quarantined_brokers(),
-    }
-}
-
-/// Did an append land on disk or in the degraded replay buffer?
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Logged {
-    Disk,
-    Buffered,
 }
 
 /// The durable loop's view of its storage: the checkpoint store, the
@@ -278,10 +203,7 @@ enum Logged {
 /// touch the matcher, the platform, or the ledger, so a degraded run's
 /// serving results stay bit-identical to a fault-free run.
 struct DiskState {
-    vfs: Arc<dyn Vfs>,
-    dir: PathBuf,
-    keep: usize,
-    wal_path: PathBuf,
+    cfg: DurableConfig,
     store: Option<CheckpointStore>,
     wal: Option<Wal>,
     guard: Option<StorageGuard>,
@@ -294,74 +216,55 @@ impl DiskState {
     /// WAL records are kept for replay even when the handles degrade.
     fn open(dcfg: &DurableConfig) -> Result<(Self, Vec<WalRecord>, WalRecovery), RecoveryError> {
         let mut guard = dcfg.storage.map(StorageGuard::new);
+        // With a guard a startup failure degrades; without one it is fatal.
+        let mut absorbed = |e: &dyn fmt::Display| match guard.as_mut() {
+            Some(g) => {
+                g.storage_fault(FaultSite::Startup, &e.to_string());
+                true
+            }
+            None => false,
+        };
         let store = match CheckpointStore::open_with(dcfg.vfs.clone(), &dcfg.dir, dcfg.keep) {
             Ok(s) => Some(s),
-            Err(e) => match guard.as_mut() {
-                Some(g) => {
-                    g.storage_fault(FaultSite::Startup, &e.to_string());
-                    None
-                }
-                None => return Err(e.into()),
-            },
+            Err(e) if absorbed(&e) => None,
+            Err(e) => return Err(e.into()),
         };
         let (wal, records, recovery) = match Wal::recover_with(dcfg.vfs.clone(), &dcfg.wal_path()) {
             Ok((w, records, recovery)) => (Some(w), records, recovery),
-            Err(e) => match guard.as_mut() {
-                Some(g) => {
-                    g.storage_fault(FaultSite::Startup, &e.to_string());
-                    (None, Vec::new(), WalRecovery::default())
-                }
-                None => return Err(e.into()),
-            },
+            Err(e) if absorbed(&e) => (None, Vec::new(), WalRecovery::default()),
+            Err(e) => return Err(e.into()),
         };
         // A store that failed to open cannot host the next checkpoint,
         // so even a healthy WAL must stop accepting appends: drop the
         // handle and run degraded from birth.
         let wal = if guard.as_ref().is_some_and(|g| !g.durable()) { None } else { wal };
-        Ok((
-            DiskState {
-                vfs: dcfg.vfs.clone(),
-                dir: dcfg.dir.clone(),
-                keep: dcfg.keep,
-                wal_path: dcfg.wal_path(),
-                store,
-                wal,
-                guard,
-            },
-            records,
-            recovery,
-        ))
-    }
-
-    /// Advance the guard's integer clock by one batch.
-    fn tick(&mut self) {
-        if let Some(g) = self.guard.as_mut() {
-            g.advance_tick();
-        }
+        Ok((DiskState { cfg: dcfg.clone(), store, wal, guard }, records, recovery))
     }
 
     /// Append a record: to the WAL while Durable, to the bounded replay
     /// buffer while degraded. Only the guard-less legacy path can fail.
     fn append(&mut self, rec: &WalRecord) -> Result<Logged, RecoveryError> {
-        if self.guard.is_none() {
+        let Some(durable) = self.guard.as_ref().map(StorageGuard::durable) else {
             let wal = self.wal.as_mut().expect("legacy path always holds a WAL");
             wal.append(rec)?;
             return Ok(Logged::Disk);
-        }
-        if self.guard.as_ref().is_some_and(|g| g.durable()) {
-            let outcome = self.wal.as_mut().expect("durable mode holds a WAL").append(rec);
-            match outcome {
+        };
+        if durable {
+            match self.wal.as_mut().expect("durable mode holds a WAL").append(rec) {
                 Ok(()) => return Ok(Logged::Disk),
                 Err(e) => {
                     self.wal = None;
-                    let g = self.guard.as_mut().expect("guard checked above");
-                    g.storage_fault(FaultSite::WalAppend, &e.to_string());
+                    self.guard().storage_fault(FaultSite::WalAppend, &e.to_string());
                 }
             }
         }
-        let g = self.guard.as_mut().expect("guard checked above");
-        g.buffer_record(rec.clone());
+        self.guard().buffer_record(rec.clone());
         Ok(Logged::Buffered)
+    }
+
+    /// The degraded-mode machine (fault-tolerant mode only).
+    fn guard(&mut self) -> &mut StorageGuard {
+        self.guard.as_mut().expect("fault-tolerant mode holds a guard")
     }
 
     /// Day-boundary persistence; `boundary` is the next day to run
@@ -375,36 +278,30 @@ impl DiskState {
         text: &str,
         write_crash: Option<WriteCrash>,
     ) -> Result<Option<Logged>, RecoveryError> {
-        if self.guard.is_none() {
+        let Some(mode) = self.guard.as_ref().map(StorageGuard::mode) else {
             let store = self.store.as_ref().expect("legacy path always holds a store");
             store.save(boundary, text, write_crash)?;
             let wal = self.wal.as_mut().expect("legacy path always holds a WAL");
             wal.append(&WalRecord::Checkpoint { next_day: boundary })?;
             return Ok(Some(Logged::Disk));
-        }
-        match self.guard.as_ref().expect("guard checked above").mode() {
+        };
+        match mode {
             StorageMode::Durable => {
                 let store = self.store.as_ref().expect("durable mode holds a store");
                 match store.save(boundary, text, write_crash) {
                     Ok(report) => {
-                        self.guard
-                            .as_mut()
-                            .expect("guard checked above")
-                            .note_prune_warnings(report.warnings.len());
+                        self.guard().note_prune_warnings(report.warnings.len());
                         Ok(Some(self.append(&WalRecord::Checkpoint { next_day: boundary })?))
                     }
                     Err(e) => {
-                        self.guard
-                            .as_mut()
-                            .expect("guard checked above")
-                            .storage_fault(FaultSite::CheckpointSave, &e.to_string());
+                        self.guard().storage_fault(FaultSite::CheckpointSave, &e.to_string());
                         Ok(None)
                     }
                 }
             }
             StorageMode::Degraded => {
-                if self.guard.as_mut().expect("guard checked above").wants_resync() {
-                    self.guard.as_mut().expect("guard checked above").begin_resync();
+                if self.guard().wants_resync() {
+                    self.guard().begin_resync();
                     self.try_resync(boundary, text, write_crash);
                 }
                 Ok(None)
@@ -423,51 +320,108 @@ impl DiskState {
     /// checkpoint's boundary.
     fn try_resync(&mut self, boundary: usize, text: &str, write_crash: Option<WriteCrash>) {
         if self.store.is_none() {
-            match CheckpointStore::open_with(self.vfs.clone(), &self.dir, self.keep) {
+            match CheckpointStore::open_with(self.cfg.vfs.clone(), &self.cfg.dir, self.cfg.keep) {
                 Ok(s) => self.store = Some(s),
-                Err(e) => {
-                    self.guard
-                        .as_mut()
-                        .expect("resync runs under a guard")
-                        .resync_failed(&e.to_string());
-                    return;
-                }
+                Err(e) => return self.guard().resync_failed(&e.to_string()),
             }
         }
         let saved = self.store.as_ref().expect("opened above").save(boundary, text, write_crash);
         let report = match saved {
             Ok(r) => r,
-            Err(e) => {
-                self.guard
-                    .as_mut()
-                    .expect("resync runs under a guard")
-                    .resync_failed(&e.to_string());
-                return;
-            }
+            Err(e) => return self.guard().resync_failed(&e.to_string()),
         };
-        let fresh = Wal::create_with(self.vfs.clone(), &self.wal_path)
+        let fresh = Wal::create_with(self.cfg.vfs.clone(), &self.cfg.wal_path())
             .and_then(|mut w| w.append(&WalRecord::Checkpoint { next_day: boundary }).map(|()| w));
         match fresh {
             Ok(w) => {
                 self.wal = Some(w);
-                let g = self.guard.as_mut().expect("resync runs under a guard");
+                let g = self.guard();
                 g.note_prune_warnings(report.warnings.len());
                 g.resync_complete();
             }
             Err(e) => {
                 self.wal = None;
-                self.guard
-                    .as_mut()
-                    .expect("resync runs under a guard")
-                    .resync_failed(&e.to_string());
+                self.guard().resync_failed(&e.to_string());
             }
         }
     }
+}
 
-    /// Consume the guard into its final accounting (`None` when storage
-    /// fault tolerance was not enabled).
-    fn finish(mut self) -> Option<platform_sim::StorageStats> {
-        self.guard.take().map(StorageGuard::finish)
+/// The durable loop's hooks: live records go to the WAL (or the
+/// degraded replay buffer), crash points fire around them, and
+/// quarantined brokers are repaired from the newest good checkpoint
+/// generation.
+struct Durable {
+    disk: DiskState,
+    crash: Option<CrashPoint>,
+    cfg: LacbConfig,
+    num_brokers: usize,
+}
+
+impl Hooks<ResilientAssigner<Lacb>> for Durable {
+    type Error = RecoveryError;
+
+    fn log(&mut self, rec: &WalRecord) -> Result<Logged, RecoveryError> {
+        if let WalRecord::Batch { day, batch, .. } = *rec {
+            if self.crash == Some(CrashPoint::DuringWalAppend { day, batch }) {
+                // A degraded run holds no WAL: the torn-append crash
+                // window simply does not exist then.
+                if let Some(w) = self.disk.wal.as_mut() {
+                    w.append_torn(rec);
+                }
+            }
+        }
+        let logged = self.disk.append(rec)?;
+        if let WalRecord::Admission { day, batch, .. } = *rec {
+            if self.crash == Some(CrashPoint::AfterAdmission { day, batch }) {
+                panic!("injected crash: after admission of batch {batch} day {day}");
+            }
+        }
+        Ok(logged)
+    }
+
+    /// Advance the storage guard's integer clock by one batch.
+    fn tick(&mut self) {
+        if let Some(g) = self.disk.guard.as_mut() {
+            g.advance_tick();
+        }
+    }
+
+    fn executed(&mut self, day: usize, batch: usize, replayed: bool) {
+        // After the crash point, so recovery replay applies the batch's
+        // state fault and duplicated delivery exactly once.
+        if !replayed && self.crash == Some(CrashPoint::AfterBatch { day, batch }) {
+            panic!("injected crash: after batch {batch} of day {day}");
+        }
+    }
+
+    /// Selective per-broker restore from the newest checkpoint
+    /// generation whose matcher section verifies, falling back to
+    /// re-initialization.
+    ///
+    /// Verification is section-granular ([`parse_v2_section`]): a
+    /// checkpoint torn in an unrelated section still donates its matcher
+    /// state. Capping the generation at the current day makes donor
+    /// selection identical in the live run and in crash-recovery replay
+    /// — a torn next-generation file left by a mid-checkpoint crash can
+    /// never be chosen during replay when the live run could not see it.
+    fn repair(&mut self, assigner: &mut ResilientAssigner<Lacb>, day: usize) {
+        if !assigner.primary().has_quarantined_brokers() {
+            return;
+        }
+        let donor = self.disk.store.as_ref().and_then(|store| {
+            newest_good(store, day, |text| {
+                let section = parse_v2_section(&text, "matcher").ok()?;
+                Lacb::read_state(&mut section.lines(), self.cfg.clone(), self.num_brokers).ok()
+            })
+            .0
+        });
+        match donor {
+            Some((generation, donor)) => {
+                assigner.primary_mut().repair_from_donor(&donor, generation)
+            }
+            None => assigner.repair_quarantined_brokers(),
+        }
     }
 }
 
@@ -482,222 +436,7 @@ pub fn run_durable(
     plan: FaultPlan,
     dcfg: &DurableConfig,
 ) -> Result<DurableOutcome, RecoveryError> {
-    let spiked = dataset.with_batch_spikes(&plan);
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
-
-    let (mut disk, records, wal_recovery) = DiskState::open(dcfg)?;
-
-    let (restored, generations_skipped) =
-        restore_last_good(disk.store.as_ref(), &cfg, &mut platform);
-    let donor_cfg = cfg.clone();
-    let (recovered_from, matcher, mut ledger, mut progress, pending, stats) = match restored {
-        Some((day, r)) => (Some(day), r.matcher, r.ledger, r.progress, r.pending_feedback, r.stats),
-        None => (
-            None,
-            Lacb::new(cfg),
-            BrokerLedger::new(platform.num_brokers()),
-            RunProgress::default(),
-            None,
-            ResilienceStats::default(),
-        ),
-    };
-    let mut assigner = ResilientAssigner::new(matcher, rcfg);
-    assigner.restore_channel(pending, stats);
-
-    // The replay tail: records at or after the restored boundary.
-    // Checkpoint marks are bookkeeping, not state, so they are dropped.
-    let mut tail: VecDeque<WalRecord> = records
-        .into_iter()
-        .filter(|r| !matches!(r, WalRecord::Checkpoint { .. }) && r.day() >= progress.next_day)
-        .collect();
-    for r in &tail {
-        if r.day() >= spiked.days.len() {
-            return Err(RecoveryError::Horizon(format!(
-                "WAL record for day {} but horizon has {} days",
-                r.day(),
-                spiked.days.len()
-            )));
-        }
-    }
-    let mut replayed_batches = 0usize;
-
-    for (d, day) in spiked.days.iter().enumerate().skip(progress.next_day) {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        progress.elapsed_secs += t0.elapsed().as_secs_f64();
-        if matches!(tail.front(), Some(WalRecord::DayStart { day }) if *day == d) {
-            tail.pop_front();
-        } else {
-            disk.append(&WalRecord::DayStart { day: d })?;
-        }
-        for (b, batch) in day.iter().enumerate() {
-            disk.tick();
-            let t = Instant::now();
-            let assignment = assigner.assign_batch(&platform, &batch.requests);
-            progress.elapsed_secs += t.elapsed().as_secs_f64();
-            let rec = WalRecord::Batch {
-                day: d,
-                batch: b,
-                draws: platform.appeal_draws(),
-                assignment: assignment.clone(),
-            };
-            let replaying = matches!(
-                tail.front(),
-                Some(WalRecord::Batch { day, batch, .. }) if *day == d && *batch == b
-            );
-            if replaying {
-                let logged = tail.pop_front().expect("front just matched");
-                if logged != rec {
-                    return Err(RecoveryError::Divergence {
-                        day: d,
-                        batch: Some(b),
-                        detail: format!("logged {logged:?} recomputed {rec:?}"),
-                    });
-                }
-                replayed_batches += 1;
-            } else {
-                if dcfg.crash == Some(CrashPoint::DuringWalAppend { day: d, batch: b }) {
-                    // A degraded run holds no WAL: the torn-append crash
-                    // window simply does not exist then.
-                    if let Some(w) = disk.wal.as_mut() {
-                        w.append_torn(&rec);
-                    }
-                }
-                disk.append(&rec)?;
-            }
-            let outcome = platform.execute_batch(&batch.requests, &assignment);
-            progress.requests_failed += outcome.failed.len() as u64;
-            ledger.record_batch(&outcome);
-            if !replaying && dcfg.crash == Some(CrashPoint::AfterBatch { day: d, batch: b }) {
-                panic!("injected crash: after batch {b} of day {d}");
-            }
-            // State corruption and duplicated delivery land after the
-            // batch is logged and executed (same placement as
-            // `run_chaos`, and after the crash point so recovery replay
-            // applies each fault exactly once). Repair immediately:
-            // per-broker restore from the newest good generation.
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) {
-                let _ = assigner.assign_batch(&platform, &batch.requests);
-            }
-            repair_via_store(
-                &mut assigner,
-                disk.store.as_ref(),
-                &donor_cfg,
-                platform.num_brokers(),
-                d,
-            );
-        }
-        let feedback = platform.end_day();
-        let rec = WalRecord::DayEnd {
-            day: d,
-            realized_bits: feedback.realized.to_bits(),
-            trials: feedback.trials.len(),
-            draws: platform.appeal_draws(),
-        };
-        match tail.front() {
-            Some(WalRecord::DayEnd { day, .. }) if *day == d => {
-                let logged = tail.pop_front().expect("front just matched");
-                if logged != rec {
-                    return Err(RecoveryError::Divergence {
-                        day: d,
-                        batch: None,
-                        detail: format!("logged {logged:?} recomputed {rec:?}"),
-                    });
-                }
-            }
-            _ => {
-                disk.append(&rec)?;
-            }
-        }
-        let t = Instant::now();
-        assigner.end_day(&platform, &feedback);
-        progress.elapsed_secs += t.elapsed().as_secs_f64();
-        // Deep-audit quarantines must be repaired before the day's
-        // checkpoint is captured, so checkpoints stay quarantine-free.
-        repair_via_store(&mut assigner, disk.store.as_ref(), &donor_cfg, platform.num_brokers(), d);
-        ledger.end_day(feedback.realized);
-        progress.daily_utility.push(feedback.realized);
-        progress.daily_elapsed.push(progress.elapsed_secs);
-        progress.next_day = d + 1;
-
-        if dcfg.crash == Some(CrashPoint::BeforeCheckpoint { day: d }) {
-            panic!("injected crash: before checkpoint of day {d}");
-        }
-        let ckpt = Checkpoint::capture(
-            assigner.primary(),
-            &platform,
-            &ledger,
-            &progress,
-            assigner.pending_feedback(),
-            assigner.stats(),
-        );
-        let write_crash = match dcfg.crash {
-            Some(CrashPoint::DuringCheckpointWrite { day }) if day == d => {
-                Some(WriteCrash::MidWrite)
-            }
-            Some(CrashPoint::BeforeCheckpointRename { day }) if day == d => {
-                Some(WriteCrash::BeforeRename)
-            }
-            _ => None,
-        };
-        disk.checkpoint(d + 1, &ckpt.to_v2_text(), write_crash)?;
-    }
-
-    let mut stats = assigner.resilience_stats().unwrap_or_default();
-    stats.requests_failed = progress.requests_failed;
-    let mut final_state = String::new();
-    assigner.primary().write_state(&mut final_state);
-    Ok(DurableOutcome {
-        metrics: RunMetrics {
-            algorithm: assigner.name(),
-            total_utility: ledger.total_realized(),
-            elapsed_secs: progress.elapsed_secs,
-            daily_utility: progress.daily_utility,
-            daily_elapsed: progress.daily_elapsed,
-            ledger,
-            resilience: Some(stats),
-            overload: None,
-            timings: StageTimings::default(),
-            audit: assigner.take_audit_report(),
-            replication: None,
-            storage: disk.finish(),
-        },
-        final_state,
-        recovered_from,
-        generations_skipped,
-        replayed_batches,
-        wal_recovery,
-    })
-}
-
-/// Append a WAL record while feeding the WAL circuit breaker: an
-/// append that landed on disk is a success signal; one that fell into
-/// the degraded replay buffer — or failed outright on the legacy path,
-/// observed *before* the error propagates — is a failure signal.
-fn append_tracked(
-    disk: &mut DiskState,
-    ov: &mut OverloadState,
-    rec: &WalRecord,
-) -> Result<(), RecoveryError> {
-    match disk.append(rec) {
-        Ok(Logged::Disk) => {
-            ov.observe_wal(true);
-            Ok(())
-        }
-        Ok(Logged::Buffered) => {
-            ov.observe_wal(false);
-            Ok(())
-        }
-        Err(e) => {
-            ov.observe_wal(false);
-            Err(e)
-        }
-    }
+    serve_durable(dataset, cfg, rcfg, None, plan, dcfg)
 }
 
 /// Run (or recover and finish) an *overload-protected* durable run:
@@ -725,203 +464,60 @@ pub fn run_overload_durable(
     plan: FaultPlan,
     dcfg: &DurableConfig,
 ) -> Result<DurableOutcome, RecoveryError> {
+    serve_durable(dataset, cfg, rcfg, Some(ocfg), plan, dcfg)
+}
+
+fn serve_durable(
+    dataset: &Dataset,
+    cfg: LacbConfig,
+    rcfg: ResilienceConfig,
+    overload: Option<&OverloadConfig>,
+    plan: FaultPlan,
+    dcfg: &DurableConfig,
+) -> Result<DurableOutcome, RecoveryError> {
     let spiked = dataset.with_batch_spikes(&plan);
-    let mut platform = Platform::from_dataset(&spiked);
-    platform.enable_faults(plan);
-
-    let (mut disk, records, wal_recovery) = DiskState::open(dcfg)?;
-
-    let (restored, generations_skipped) =
-        restore_last_good(disk.store.as_ref(), &cfg, &mut platform);
-    let donor_cfg = cfg.clone();
-    let (recovered_from, matcher, mut ledger, mut progress, pending, stats, mut ov) = match restored
-    {
-        Some((day, r)) => {
-            let ov = match &r.overload {
-                Some(snap) => OverloadState::from_snapshot(ocfg.clone(), snap),
-                None => OverloadState::new(ocfg.clone()),
-            };
-            (Some(day), r.matcher, r.ledger, r.progress, r.pending_feedback, r.stats, ov)
-        }
-        None => (
-            None,
-            Lacb::new(cfg),
-            BrokerLedger::new(platform.num_brokers()),
-            RunProgress::default(),
-            None,
-            ResilienceStats::default(),
-            OverloadState::new(ocfg.clone()),
-        ),
+    let (disk, records, wal_recovery) = DiskState::open(dcfg)?;
+    // Restore the newest checkpoint that verifies, falling back
+    // generation by generation; none at all is a fresh start.
+    let (restored, generations_skipped) = match disk.store.as_ref() {
+        Some(store) => newest_good(store, usize::MAX, |text| {
+            let ckpt = Checkpoint::from_text(&text).ok()?;
+            Engine::restore(&spiked, &ckpt, cfg.clone(), rcfg.clone(), plan, overload).ok()
+        }),
+        None => (None, 0),
     };
-    let mut assigner = ResilientAssigner::new(matcher, rcfg);
-    assigner.restore_channel(pending, stats);
+    let (recovered_from, mut engine) = match restored {
+        Some((day, engine)) => (Some(day), engine),
+        None => (None, Engine::lacb(&spiked, cfg.clone(), rcfg, plan, overload)),
+    };
 
-    let mut tail: VecDeque<WalRecord> = records
+    // The replay tail: records at or after the restored boundary.
+    // Checkpoint marks are bookkeeping, not state, so they are dropped.
+    let next_day = engine.position().0;
+    let tail: Vec<WalRecord> = records
         .into_iter()
-        .filter(|r| !matches!(r, WalRecord::Checkpoint { .. }) && r.day() >= progress.next_day)
+        .filter(|r| !matches!(r, WalRecord::Checkpoint { .. }) && r.day() >= next_day)
         .collect();
-    for r in &tail {
-        if r.day() >= spiked.days.len() {
-            return Err(RecoveryError::Horizon(format!(
-                "WAL record for day {} but horizon has {} days",
-                r.day(),
-                spiked.days.len()
-            )));
-        }
+    if let Some(r) = tail.iter().find(|r| r.day() >= spiked.days.len()) {
+        return Err(RecoveryError::Horizon(format!(
+            "WAL record for day {} but horizon has {} days",
+            r.day(),
+            spiked.days.len()
+        )));
     }
-    let mut replayed_batches = 0usize;
+    engine.replay(tail);
 
-    for (d, day) in spiked.days.iter().enumerate().skip(progress.next_day) {
-        platform.begin_day();
-        let t0 = Instant::now();
-        assigner.begin_day(&platform, d);
-        progress.elapsed_secs += t0.elapsed().as_secs_f64();
-        if matches!(tail.front(), Some(WalRecord::DayStart { day }) if *day == d) {
-            tail.pop_front();
-        } else {
-            append_tracked(&mut disk, &mut ov, &WalRecord::DayStart { day: d })?;
-        }
-        for (b, batch) in day.iter().enumerate() {
-            disk.tick();
-            let t = Instant::now();
-            let admitted = ov.admit(assigner.primary_mut(), &platform, &batch.requests);
-            let adm_rec = WalRecord::Admission {
-                day: d,
-                batch: b,
-                admitted: admitted.iter().map(|r| r.id).collect(),
-            };
-            let replaying_admission = matches!(
-                tail.front(),
-                Some(WalRecord::Admission { day, batch, .. }) if *day == d && *batch == b
-            );
-            if replaying_admission {
-                let logged = tail.pop_front().expect("front just matched");
-                if logged != adm_rec {
-                    return Err(RecoveryError::Divergence {
-                        day: d,
-                        batch: Some(b),
-                        detail: format!("admission logged {logged:?} recomputed {adm_rec:?}"),
-                    });
-                }
-            } else {
-                append_tracked(&mut disk, &mut ov, &adm_rec)?;
-                if dcfg.crash == Some(CrashPoint::AfterAdmission { day: d, batch: b }) {
-                    panic!("injected crash: after admission of batch {b} day {d}");
-                }
-            }
-            ov.plan_quality(assigner.primary_mut());
-            progress.elapsed_secs += t.elapsed().as_secs_f64();
-            if !admitted.is_empty() {
-                let t = Instant::now();
-                let before = assigner.stats().primary_panics
-                    + assigner.stats().primary_timeouts
-                    + assigner.stats().invalid_primary_outputs;
-                let assignment = assigner.assign_batch(&platform, &admitted);
-                let after = assigner.stats().primary_panics
-                    + assigner.stats().primary_timeouts
-                    + assigner.stats().invalid_primary_outputs;
-                ov.observe_solve(assigner.primary(), after > before);
-                progress.elapsed_secs += t.elapsed().as_secs_f64();
-                let rec = WalRecord::Batch {
-                    day: d,
-                    batch: b,
-                    draws: platform.appeal_draws(),
-                    assignment: assignment.clone(),
-                };
-                let replaying = matches!(
-                    tail.front(),
-                    Some(WalRecord::Batch { day, batch, .. }) if *day == d && *batch == b
-                );
-                if replaying {
-                    let logged = tail.pop_front().expect("front just matched");
-                    if logged != rec {
-                        return Err(RecoveryError::Divergence {
-                            day: d,
-                            batch: Some(b),
-                            detail: format!("logged {logged:?} recomputed {rec:?}"),
-                        });
-                    }
-                    replayed_batches += 1;
-                } else {
-                    if dcfg.crash == Some(CrashPoint::DuringWalAppend { day: d, batch: b }) {
-                        if let Some(w) = disk.wal.as_mut() {
-                            w.append_torn(&rec);
-                        }
-                    }
-                    append_tracked(&mut disk, &mut ov, &rec)?;
-                }
-                let outcome = platform.execute_batch(&admitted, &assignment);
-                progress.requests_failed += outcome.failed.len() as u64;
-                ov.record_served(&outcome);
-                ledger.record_batch(&outcome);
-                if !replaying && dcfg.crash == Some(CrashPoint::AfterBatch { day: d, batch: b }) {
-                    panic!("injected crash: after batch {b} of day {d}");
-                }
-            }
-            // Same per-batch fault and repair placement as
-            // `run_overload` — state corruption lands even on ticks
-            // where admission drained nothing.
-            if let Some(fault) = plan.state_fault(d, b, platform.num_brokers()) {
-                assigner.inject_state_fault(&fault);
-            }
-            if plan.batch_replayed(d, b) && !admitted.is_empty() {
-                let _ = assigner.assign_batch(&platform, &admitted);
-            }
-            repair_via_store(
-                &mut assigner,
-                disk.store.as_ref(),
-                &donor_cfg,
-                platform.num_brokers(),
-                d,
-            );
-        }
-        let feedback = platform.end_day();
-        let rec = WalRecord::DayEnd {
-            day: d,
-            realized_bits: feedback.realized.to_bits(),
-            trials: feedback.trials.len(),
-            draws: platform.appeal_draws(),
+    let num_brokers = engine.platform.num_brokers();
+    let mut hooks = Durable { disk, crash: dcfg.crash, cfg, num_brokers };
+    loop {
+        let d = match engine.step(&mut hooks)? {
+            Unit::Done => break,
+            Unit::DayEnd(d) => d,
+            _ => continue,
         };
-        match tail.front() {
-            Some(WalRecord::DayEnd { day, .. }) if *day == d => {
-                let logged = tail.pop_front().expect("front just matched");
-                if logged != rec {
-                    return Err(RecoveryError::Divergence {
-                        day: d,
-                        batch: None,
-                        detail: format!("logged {logged:?} recomputed {rec:?}"),
-                    });
-                }
-            }
-            _ => append_tracked(&mut disk, &mut ov, &rec)?,
-        }
-        let t = Instant::now();
-        let fb_before = assigner.stats().feedback_retries + assigner.stats().feedback_lost_days;
-        assigner.end_day(&platform, &feedback);
-        let fb_after = assigner.stats().feedback_retries + assigner.stats().feedback_lost_days;
-        ov.observe_feedback(fb_after > fb_before);
-        ov.end_day();
-        progress.elapsed_secs += t.elapsed().as_secs_f64();
-        // Repair deep-audit quarantines before the checkpoint capture.
-        repair_via_store(&mut assigner, disk.store.as_ref(), &donor_cfg, platform.num_brokers(), d);
-        ledger.end_day(feedback.realized);
-        progress.daily_utility.push(feedback.realized);
-        progress.daily_elapsed.push(progress.elapsed_secs);
-        progress.next_day = d + 1;
-
         if dcfg.crash == Some(CrashPoint::BeforeCheckpoint { day: d }) {
             panic!("injected crash: before checkpoint of day {d}");
         }
-        let ov_snap = ov.snapshot();
-        let ckpt = Checkpoint::capture_with_overload(
-            assigner.primary(),
-            &platform,
-            &ledger,
-            &progress,
-            assigner.pending_feedback(),
-            assigner.stats(),
-            Some(&ov_snap),
-        );
         let write_crash = match dcfg.crash {
             Some(CrashPoint::DuringCheckpointWrite { day }) if day == d => {
                 Some(WriteCrash::MidWrite)
@@ -931,32 +527,18 @@ pub fn run_overload_durable(
             }
             _ => None,
         };
-        match disk.checkpoint(d + 1, &ckpt.to_v2_text(), write_crash)? {
-            Some(Logged::Disk) => ov.observe_wal(true),
-            Some(Logged::Buffered) => ov.observe_wal(false),
-            None => {}
+        let text = Checkpoint::capture(&engine).to_v2_text();
+        if let Some(logged) = hooks.disk.checkpoint(d + 1, &text, write_crash)? {
+            engine.observe_log(logged);
         }
     }
 
-    let mut stats = assigner.resilience_stats().unwrap_or_default();
-    stats.requests_failed = progress.requests_failed;
-    let mut final_state = String::new();
-    assigner.primary().write_state(&mut final_state);
+    let replayed_batches = engine.replayed_batches;
+    let (mut metrics, final_state) = engine.finish_lacb();
+    // The guard's final accounting (none without storage-fault tolerance).
+    metrics.storage = hooks.disk.guard.map(StorageGuard::finish);
     Ok(DurableOutcome {
-        metrics: RunMetrics {
-            algorithm: format!("Overload({})", assigner.name()),
-            total_utility: ledger.total_realized(),
-            elapsed_secs: progress.elapsed_secs,
-            daily_utility: progress.daily_utility,
-            daily_elapsed: progress.daily_elapsed,
-            ledger,
-            resilience: Some(stats),
-            overload: Some(ov.stats().clone()),
-            timings: StageTimings::default(),
-            audit: assigner.take_audit_report(),
-            replication: None,
-            storage: disk.finish(),
-        },
+        metrics,
         final_state,
         recovered_from,
         generations_skipped,

@@ -7,9 +7,10 @@
 
 use lacb::checkpoint::CheckpointError;
 use lacb::resilient::{ResilienceConfig, ResilientAssigner};
+use lacb::serving::Engine;
 use lacb::{
     checkpoint, run_chaos, run_overload, run_overload_durable, Assigner, DurableConfig, Lacb,
-    LacbConfig, OverloadConfig, OverloadSnapshot, RunConfig,
+    LacbConfig, OverloadConfig, OverloadSnapshot, OverloadState, RunConfig,
 };
 use platform_sim::{
     ramp_dataset, BreakerComponent, BreakerEvent, CrashPoint, Dataset, FaultConfig, FaultPlan,
@@ -441,49 +442,30 @@ fn arb_overload_snapshot() -> impl Strategy<Value = OverloadSnapshot> {
         )
 }
 
-/// Serialise an arbitrary overload snapshot into a real checkpoint
-/// (with one executed day of context around it) and load it back.
-fn overload_checkpoint_roundtrip(ov: &OverloadSnapshot) -> Option<OverloadSnapshot> {
+/// Rebuild an overload controller from an arbitrary snapshot, attach it
+/// to a real pipeline (one executed day of context around it),
+/// checkpoint that pipeline and load it back. Returns the controller's
+/// own snapshot and the one the checkpoint restored.
+fn overload_checkpoint_roundtrip(
+    ov: &OverloadSnapshot,
+) -> (OverloadSnapshot, Option<OverloadSnapshot>) {
     let fx = fixture();
     let spiked = fx.ds.with_batch_spikes(&fx.plan);
+    let mut engine =
+        Engine::lacb(&spiked, LacbConfig::default(), ResilienceConfig::default(), fx.plan, None)
+            .max_days(Some(1));
+    engine.run_to_end();
+    let controller = OverloadState::from_snapshot(OverloadConfig::default(), ov);
+    let live = controller.snapshot();
+    let ckpt = checkpoint::Checkpoint::capture(&engine.with_overload(controller));
+    let reloaded = checkpoint::Checkpoint::from_text(ckpt.as_text()).expect("own text parses");
     let mut platform = Platform::from_dataset(&spiked);
     platform.enable_faults(fx.plan);
-    let mut assigner =
-        ResilientAssigner::new(Lacb::new(LacbConfig::default()), ResilienceConfig::default());
-    let mut ledger = platform_sim::BrokerLedger::new(platform.num_brokers());
-    platform.begin_day();
-    assigner.begin_day(&platform, 0);
-    for batch in &spiked.days[0] {
-        let assignment = assigner.assign_batch(&platform, &batch.requests);
-        let outcome = platform.execute_batch(&batch.requests, &assignment);
-        ledger.record_batch(&outcome);
-    }
-    let feedback = platform.end_day();
-    assigner.end_day(&platform, &feedback);
-    ledger.end_day(feedback.realized);
-    let progress = checkpoint::RunProgress {
-        next_day: 1,
-        elapsed_secs: 0.0,
-        daily_utility: vec![feedback.realized],
-        daily_elapsed: vec![0.0],
-        requests_failed: 0,
-    };
-    let ckpt = checkpoint::Checkpoint::capture_with_overload(
-        assigner.primary(),
-        &platform,
-        &ledger,
-        &progress,
-        assigner.pending_feedback(),
-        assigner.stats(),
-        Some(ov),
-    );
-    let reloaded = checkpoint::Checkpoint::from_text(ckpt.as_text()).expect("own text parses");
-    let mut platform2 = Platform::from_dataset(&spiked);
-    platform2.enable_faults(fx.plan);
-    reloaded
-        .restore(LacbConfig::default(), &mut platform2)
+    let restored = reloaded
+        .restore(LacbConfig::default(), &mut platform)
         .expect("own checkpoint restores")
-        .overload
+        .overload;
+    (live, restored)
 }
 
 proptest! {
@@ -566,8 +548,9 @@ proptest! {
     fn overload_snapshot_roundtrips_through_checkpoint_text(
         ov in arb_overload_snapshot(),
     ) {
-        let restored = overload_checkpoint_roundtrip(&ov);
-        prop_assert_eq!(restored, Some(ov));
+        let (live, restored) = overload_checkpoint_roundtrip(&ov);
+        prop_assert_eq!(&live.stats, &ov.stats);
+        prop_assert_eq!(restored, Some(live));
     }
 }
 

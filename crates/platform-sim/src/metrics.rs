@@ -309,21 +309,29 @@ impl StageBreakdown {
     }
 }
 
-/// Per-stage wall-clock counters of the serving loop, captured by the
-/// experiment runners. Batch-level vectors have one entry per request
-/// batch; day-level vectors one entry per day. These are the raw samples
-/// behind the `bench-serve` latency report (p50/p99 per-batch assignment
-/// latency, stage shares).
+/// Per-stage wall-clock counters of the serving loop, filled by the one
+/// serving core for every run mode. Batch-level vectors have one entry
+/// per batch the run executed; day-level vectors one entry per day it
+/// executed (a run resumed from a checkpoint times only the days after
+/// it). These are the raw samples behind the `bench-serve` latency
+/// report (p50/p99 per-batch assignment latency, stage shares).
+///
+/// **Batch time** is the decision time of one batch tick: admission
+/// (pricing, queueing, shedding) and quality planning when the run is
+/// overload-protected, plus the policy's `assign_batch` (candidate
+/// selection, scoring, matching). It excludes WAL and replication I/O,
+/// executing the assignment against the platform, injected faults,
+/// duplicated deliveries and quarantine repair. An overload tick whose
+/// admission drained nothing still gets an entry (its admission time).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StageTimings {
-    /// Seconds spent in `assign_batch` (candidate selection + scoring +
-    /// matching), one entry per batch.
+    /// Batch time (see above), one entry per batch.
     pub assign_batch_secs: Vec<f64>,
     /// Seconds spent in `begin_day` (per-broker capacity estimation),
     /// one entry per day.
     pub begin_day_secs: Vec<f64>,
-    /// Seconds spent in `end_day` (feedback ingestion and training),
-    /// one entry per day.
+    /// Seconds spent in `end_day` (feedback ingestion and training,
+    /// plus the overload controller's day close), one entry per day.
     pub end_day_secs: Vec<f64>,
     /// Cumulative sub-stage breakdown (see [`StageBreakdown`]).
     pub breakdown: StageBreakdown,
@@ -357,7 +365,9 @@ pub struct RunMetrics {
     /// Total realised utility.
     pub total_utility: f64,
     /// Wall-clock seconds spent inside the assignment algorithm
-    /// (excludes simulator bookkeeping), cumulative over the horizon.
+    /// (excludes simulator bookkeeping), cumulative over the horizon:
+    /// the sum of the [`StageTimings`] samples, plus the days before the
+    /// checkpoint of a restored run.
     pub elapsed_secs: f64,
     /// Per-day realised utility.
     pub daily_utility: Vec<f64>,
@@ -695,6 +705,19 @@ pub struct ResilienceStats {
 }
 
 impl ResilienceStats {
+    /// Batches the ladder routed around the primary (panic, timeout or
+    /// invalid output) — what the overload controller's solver breaker
+    /// counts as failures.
+    pub fn ladder_failures(&self) -> u64 {
+        self.primary_panics + self.primary_timeouts + self.invalid_primary_outputs
+    }
+
+    /// Feedback deliveries that needed a retry or were lost — what the
+    /// bandit breaker counts as failures.
+    pub fn channel_failures(&self) -> u64 {
+        self.feedback_retries + self.feedback_lost_days
+    }
+
     /// Total degradation events of any kind (the headline counter the
     /// chaos report surfaces).
     pub fn degradation_events(&self) -> u64 {
