@@ -4,7 +4,7 @@ use crate::arms::CandidateCapacities;
 use crate::state;
 use crate::traits::CapacityEstimator;
 use linalg::{InverseTracker, UcbCovariance};
-use neural::{Mlp, MlpBuilder, MlpScratch};
+use neural::{Mlp, MlpBuilder, MlpScratch, TrainScratch};
 use rand::Rng;
 
 /// Reusable buffers for one arm-scoring pass: the network scratch, the
@@ -136,15 +136,96 @@ pub struct NnUcb {
     net: Mlp,
     dinv: InverseTracker,
     /// Observation buffer `ob` of `(x, w, s)` trial triples.
-    buffer: Vec<(Vec<f64>, f64, f64)>,
-    /// Experience-replay ring (active when `cfg.replay_cap > 0`).
-    replay: std::collections::VecDeque<(Vec<f64>, f64, f64)>,
+    buffer: Trials,
+    /// Experience-replay ring (active when `cfg.replay_cap > 0`), oldest
+    /// trial first.
+    replay: Trials,
     trials: u64,
     cumulative_reward: f64,
     /// Lazily-built scoring buffers for the `&mut self` entry points
     /// (`choose`/`update`). Derived state: never serialised, and cloning
     /// it merely clones warm buffers.
     scratch_slot: Option<NnUcbScratch>,
+    /// Training buffers reused across epochs and flushes. Derived state:
+    /// never serialised.
+    train: TrainScratch,
+    /// Samples trained on since construction or restore (Σ epochs ×
+    /// training-set length over flushes): a deterministic work counter,
+    /// never serialised.
+    trained_samples: u64,
+}
+
+/// A sequence of `(x, w, s)` trial triples stored in network-input form,
+/// so training reads it directly instead of re-encoding it each flush:
+/// row `r` of `inputs` (row-major, `[x; c]` encoded) holds the context
+/// verbatim followed by the encoded workload, `workloads[r]` the raw
+/// workload `w` and `targets[r]` the reward `s`. The triple a checkpoint
+/// stores is recovered bit for bit.
+#[derive(Clone, Debug)]
+struct Trials {
+    /// Encoded row width: context length plus one.
+    dim: usize,
+    inputs: Vec<f64>,
+    workloads: Vec<f64>,
+    targets: Vec<f64>,
+}
+
+impl Trials {
+    fn new(dim: usize) -> Self {
+        Self { dim, inputs: Vec::new(), workloads: Vec::new(), targets: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.targets.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.targets.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.inputs.clear();
+        self.workloads.clear();
+        self.targets.clear();
+    }
+
+    fn push(&mut self, arms: &CandidateCapacities, context: &[f64], workload: f64, reward: f64) {
+        assert_eq!(context.len() + 1, self.dim, "trial context has the wrong dimension");
+        arms.encode_append(context, workload, &mut self.inputs);
+        self.workloads.push(workload);
+        self.targets.push(reward);
+    }
+
+    /// Append rows `from..` of `other`.
+    fn extend_from(&mut self, other: &Trials, from: usize) {
+        self.inputs.extend_from_slice(&other.inputs[from * other.dim..]);
+        self.workloads.extend_from_slice(&other.workloads[from..]);
+        self.targets.extend_from_slice(&other.targets[from..]);
+    }
+
+    /// Drop the oldest `n` rows.
+    fn drop_front(&mut self, n: usize) {
+        self.inputs.drain(..n * self.dim);
+        self.workloads.drain(..n);
+        self.targets.drain(..n);
+    }
+
+    /// Room for exactly `rows` rows in total, so a full ring holds no
+    /// spare capacity.
+    fn reserve_exact(&mut self, rows: usize) {
+        let extra = rows.saturating_sub(self.len());
+        self.inputs.reserve_exact(extra * self.dim);
+        self.workloads.reserve_exact(extra);
+        self.targets.reserve_exact(extra);
+    }
+
+    /// `(x, w, s)` of every row, oldest first.
+    fn iter(&self) -> impl Iterator<Item = (&[f64], f64, f64)> + '_ {
+        self.inputs
+            .chunks_exact(self.dim)
+            .zip(self.workloads.iter().zip(&self.targets))
+            .map(|(row, (&w, &s))| (&row[..row.len() - 1], w, s))
+    }
 }
 
 impl NnUcb {
@@ -163,11 +244,13 @@ impl NnUcb {
             arms,
             net,
             dinv,
-            buffer: Vec::new(),
-            replay: std::collections::VecDeque::new(),
+            buffer: Trials::new(input_dim),
+            replay: Trials::new(input_dim),
             trials: 0,
             cumulative_reward: 0.0,
             scratch_slot: None,
+            train: TrainScratch::default(),
+            trained_samples: 0,
         }
     }
 
@@ -176,17 +259,20 @@ impl NnUcb {
     /// parameter count, so a last-layer-only fine-tuned bandit gets a
     /// small `D` — exactly the personalised estimator of Sec. V-D.
     pub fn from_network(net: Mlp, arms: CandidateCapacities, cfg: NnUcbConfig) -> Self {
+        let input_dim = net.input_dim();
         let dinv = InverseTracker::new(net.trainable_param_count(), cfg.lambda, cfg.covariance);
         Self {
             cfg,
             arms,
             net,
             dinv,
-            buffer: Vec::new(),
-            replay: std::collections::VecDeque::new(),
+            buffer: Trials::new(input_dim),
+            replay: Trials::new(input_dim),
             trials: 0,
             cumulative_reward: 0.0,
             scratch_slot: None,
+            train: TrainScratch::default(),
+            trained_samples: 0,
         }
     }
 
@@ -372,30 +458,47 @@ impl NnUcb {
         // Move the fresh trials into the replay ring (when enabled) and
         // train on everything retained; otherwise train on the buffer
         // alone (Alg. 1's literal behaviour).
-        let training: Vec<(Vec<f64>, f64, f64)> = if self.cfg.replay_cap > 0 {
-            for t in self.buffer.drain(..) {
-                if self.replay.len() == self.cfg.replay_cap {
-                    self.replay.pop_front();
-                }
-                self.replay.push_back(t);
-            }
-            self.replay.iter().cloned().collect()
+        let set = if self.cfg.replay_cap > 0 {
+            // Each fresh trial evicts the oldest one while the ring is
+            // exactly full.
+            let cap = self.cfg.replay_cap;
+            let total = self.replay.len() + self.buffer.len();
+            let keep = if self.replay.len() > cap { total } else { total.min(cap) };
+            let evict = total - keep;
+            let evict_old = evict.min(self.replay.len());
+            self.replay.drop_front(evict_old);
+            self.replay.reserve_exact(keep);
+            self.replay.extend_from(&self.buffer, evict - evict_old);
+            &self.replay
         } else {
-            std::mem::take(&mut self.buffer)
+            &self.buffer
         };
-        let inputs: Vec<Vec<f64>> =
-            training.iter().map(|(x, w, _)| self.arms.encode(x, *w)).collect();
-        let targets: Vec<f64> = training.iter().map(|&(_, _, s)| s).collect();
         // Eq. (6) is a *summed* loss, so its gradient scales with the
         // buffer size; normalising the step by the batch length keeps the
         // configured learning rate meaningful for any batchSize, and the
         // norm clip prevents an early oversized step from killing every
         // ReLU (which would freeze the policy on one arm forever).
-        let lr = self.cfg.lr / inputs.len() as f64;
+        let n = set.len();
+        let lr = self.cfg.lr / n as f64;
         for _ in 0..self.cfg.train_epochs {
-            self.net.train_step_clipped(&inputs, &targets, lr, self.cfg.lambda, 50.0);
+            self.net.train_step_into(
+                &set.inputs,
+                &set.targets,
+                lr,
+                self.cfg.lambda,
+                50.0,
+                &mut self.train,
+            );
         }
         self.buffer.clear();
+        self.trained_samples += (self.cfg.train_epochs * n) as u64;
+    }
+
+    /// Samples trained on since this bandit was built or restored: Σ
+    /// over training flushes of epochs × training-set length. A
+    /// deterministic work counter (not part of the checkpoint).
+    pub fn trained_samples(&self) -> u64 {
+        self.trained_samples
     }
 
     /// Force-train on whatever is buffered, regardless of fill level.
@@ -422,8 +525,7 @@ impl NnUcb {
             }
         }
         write_obs(out, "nnucb-buffer", &self.buffer);
-        let replay: Vec<(Vec<f64>, f64, f64)> = self.replay.iter().cloned().collect();
-        write_obs(out, "nnucb-replay", &replay);
+        write_obs(out, "nnucb-replay", &self.replay);
     }
 
     /// Rebuild a bandit from [`NnUcb::write_state`] output. The live
@@ -465,46 +567,57 @@ impl NnUcb {
             }
             other => return Err(format!("unknown dinv mode {other:?}")),
         };
-        let buffer = read_obs(lines, "nnucb-buffer")?;
-        let replay_vec = read_obs(lines, "nnucb-replay")?;
+        let mut buffer = Trials::new(net.input_dim());
+        read_obs(lines, "nnucb-buffer", &arms, &mut buffer)?;
+        let mut replay = Trials::new(net.input_dim());
+        read_obs(lines, "nnucb-replay", &arms, &mut replay)?;
         Ok(NnUcb {
             cfg,
             arms,
             net,
             dinv,
             buffer,
-            replay: replay_vec.into(),
+            replay,
             trials,
             cumulative_reward: cum[0],
             scratch_slot: None,
+            train: TrainScratch::default(),
+            trained_samples: 0,
         })
     }
 }
 
-fn write_obs(out: &mut String, key: &str, obs: &[(Vec<f64>, f64, f64)]) {
+fn write_obs(out: &mut String, key: &str, obs: &Trials) {
     state::push_kv(out, key, obs.len());
-    for (ctx, w, s) in obs {
-        let mut line = vec![*w, *s];
+    for (ctx, w, s) in obs.iter() {
+        let mut line = vec![w, s];
         line.extend_from_slice(ctx);
         state::push_floats(out, "obs", &line);
     }
 }
 
+/// Read an observation block into `obs`; every context must fit the
+/// network (`obs`'s row width minus the encoded capacity).
 fn read_obs<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
     key: &str,
-) -> Result<Vec<(Vec<f64>, f64, f64)>, String> {
+    arms: &CandidateCapacities,
+    obs: &mut Trials,
+) -> Result<(), String> {
     let len: usize = state::parse_one(state::expect_key(lines, key)?, "observation count")?;
-    let mut obs = Vec::with_capacity(len);
     for _ in 0..len {
         let vals = state::parse_floats(state::expect_key(lines, "obs")?, "observation")?;
-        if vals.len() < 2 {
-            return Err("observation line too short".to_string());
+        if vals.len() != 1 + obs.dim {
+            return Err(format!(
+                "observation has {} context values, the network expects {}",
+                vals.len().saturating_sub(2),
+                obs.dim - 1
+            ));
         }
         state::require_finite(&vals, "observation")?;
-        obs.push((vals[2..].to_vec(), vals[0], vals[1]));
+        obs.push(arms, &vals[2..], vals[0], vals[1]);
     }
-    Ok(obs)
+    Ok(())
 }
 
 impl CapacityEstimator for NnUcb {
@@ -535,7 +648,7 @@ impl CapacityEstimator for NnUcb {
         self.net.forward_with_gradient_into(&s.enc, &mut s.mlp, &mut s.grad);
         self.dinv.rank1_update(&s.grad);
         self.scratch_slot = Some(s);
-        self.buffer.push((context.to_vec(), workload, reward));
+        self.buffer.push(&self.arms, context, workload, reward);
         if self.buffer.len() >= self.cfg.batch_size {
             self.flush_buffer();
         }
@@ -733,6 +846,58 @@ mod tests {
         // Truncation rejected.
         let cut: String = text.lines().take(4).collect::<Vec<_>>().join("\n");
         assert!(NnUcb::read_state(&mut cut.lines(), b.arms().clone(), b.config().clone()).is_err());
+        // An observation whose context does not fit the network.
+        let short = text.replace("obs 2e1 2e-1 5e-1 5e-1", "obs 2e1 2e-1 5e-1");
+        assert_ne!(short, text);
+        let err = NnUcb::read_state(&mut short.lines(), b.arms().clone(), b.config().clone())
+            .unwrap_err();
+        assert!(err.contains("context values"), "{err}");
+    }
+
+    /// The replay ring keeps the newest `replay_cap` trials in order
+    /// through evictions, in network-input form, and checkpoints them
+    /// bit for bit: the restored bandit trains identically from then on.
+    #[test]
+    fn replay_ring_evicts_oldest_and_restores_bit_identically() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let cfg = NnUcbConfig { lr: 0.05, train_epochs: 3, replay_cap: 40, ..Default::default() };
+        let mut b = NnUcb::new(&mut rng, 2, arms(), cfg);
+        let trial = |i: usize| {
+            let ctx = vec![0.1 * (i % 7) as f64, 0.05 * (i % 11) as f64];
+            (ctx, 10.0 + (i % 5) as f64 * 10.0, 0.01 * (i % 13) as f64)
+        };
+        for i in 0..150 {
+            let (ctx, w, s) = trial(i);
+            b.update(&ctx, w, s);
+        }
+        // Nine flushes (at 16, 32, …, 144 trials) leave trials 104..144
+        // in the ring and 144..150 in the buffer.
+        let ring: Vec<(Vec<f64>, f64, f64)> =
+            b.replay.iter().map(|(x, w, s)| (x.to_vec(), w, s)).collect();
+        assert_eq!(ring, (104..144).map(trial).collect::<Vec<_>>());
+        assert_eq!(b.buffer.len(), 6);
+        let mut encoded = Vec::new();
+        for (x, w, _) in &ring {
+            b.arms.encode_append(x, *w, &mut encoded);
+        }
+        assert_eq!(b.replay.inputs, encoded);
+        // Ring lengths 16, 32 and then seven full rings, three epochs each.
+        assert_eq!(b.trained_samples(), 3 * (16 + 32 + 7 * 40));
+
+        let mut text = String::new();
+        b.write_state(&mut text);
+        let mut restored =
+            NnUcb::read_state(&mut text.lines(), b.arms().clone(), b.config().clone()).unwrap();
+        assert_eq!(restored.replay.inputs, b.replay.inputs);
+        for i in 150..200 {
+            let (ctx, w, s) = trial(i);
+            b.update(&ctx, w, s);
+            restored.update(&ctx, w, s);
+        }
+        let (mut after, mut after_restored) = (String::new(), String::new());
+        b.write_state(&mut after);
+        restored.write_state(&mut after_restored);
+        assert_eq!(after, after_restored);
     }
 
     #[test]

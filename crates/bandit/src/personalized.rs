@@ -136,6 +136,13 @@ impl PersonalizedEstimator {
         }
     }
 
+    /// Samples trained on by the base and every exclusive bandit (see
+    /// [`NnUcb::trained_samples`]).
+    pub fn trained_samples(&self) -> u64 {
+        self.per_broker.iter().flatten().map(NnUcb::trained_samples).sum::<u64>()
+            + self.base.trained_samples()
+    }
+
     /// Serialise the learned state: base bandit, per-broker trial
     /// counters, and every promoted broker's exclusive bandit.
     pub fn write_state(&self, out: &mut String) {

@@ -13,7 +13,8 @@
 //!   with an explicit `"skipped"` marker — a 1-core runner can attest
 //!   determinism but not speedups.
 //! * Every rung carries a per-stage breakdown (bandit scoring, CBS
-//!   selection, KM solve, pool sync) so a regression names its stage.
+//!   selection, KM solve, day-end bandit training, pool sync) so a
+//!   regression names its stage.
 //!
 //! Gates: with `--baseline FILE` the run fails when the single-thread
 //! p99 per-batch latency regresses by more than 20% against the
@@ -397,6 +398,17 @@ fn run_ladder(
                 sample.throughput_req_per_s,
                 if sample.bit_identical_to_1 { "bit-identical" } else { "DIVERGED" }
             );
+            let st = &sample.stages;
+            println!(
+                "      stages: score {:.1}ms  build {:.1}ms  km {:.1}ms  train {:.1}ms \
+                 ({} samples)  pool sync {:.1}ms",
+                fmt_ms(st.bandit_score_secs),
+                fmt_ms(st.sparse_build_secs),
+                fmt_ms(st.km_solve_secs),
+                fmt_ms(st.bandit_train_secs),
+                st.bandit_train_samples,
+                fmt_ms(st.pool_sync_secs),
+            );
         }
         if !sample.bit_identical_to_1 {
             return Err(CliError::Gate(format!(
@@ -432,7 +444,8 @@ fn emit_ladder_json(out: &mut String, section: &LadderSection, hw: usize) {
              \"speedup_vs_1\": {:.3}, \"bit_identical_to_1\": {}, \"stages\": \
              {{\"bandit_score_ms\": {:.3}, \"cbs_select_ms\": {:.3}, \"sparse_build_ms\": {:.3}, \
              \"km_solve_ms\": {:.3}, \"pool_sync_ms\": {:.3}, \"sparse_rows\": {}, \
-             \"sparse_edges\": {}, \"parallel_rounds\": {}, \"inline_rounds\": {}}}}}{sep}\n",
+             \"sparse_edges\": {}, \"parallel_rounds\": {}, \"inline_rounds\": {}, \
+             \"bandit_train_ms\": {:.3}, \"bandit_train_samples\": {}}}}}{sep}\n",
             s.n_threads,
             s.assign_secs,
             s.p50_batch_ms,
@@ -450,6 +463,8 @@ fn emit_ladder_json(out: &mut String, section: &LadderSection, hw: usize) {
             s.stages.sparse_edges,
             s.stages.parallel_rounds,
             s.stages.inline_rounds,
+            fmt_ms(s.stages.bandit_train_secs),
+            s.stages.bandit_train_samples,
         ));
     }
     out.push_str("    ]\n");

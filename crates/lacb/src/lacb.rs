@@ -6,7 +6,9 @@ use crate::audit::{self, AuditConfig, Auditor};
 use crate::value_function::ValueFunction;
 use bandit::{CandidateCapacities, NnUcbConfig, PersonalizedEstimator, ShrinkageEstimator};
 use linalg::InverseTracker;
-use matching::cbs::{candidate_union_seeded_with, fused_score_select, FusedScratch};
+use matching::cbs::{
+    candidate_union_seeded_with, fused_score_select, FusedScratch, Parallelism, SelectShape,
+};
 use matching::greedy::greedy_assignment;
 use matching::hungarian::{CertifyMode, KmSolver, MatchingError, SANITIZED_UTILITY};
 use matching::{MatchMode, SparseUtility, UtilityMatrix};
@@ -147,6 +149,13 @@ impl EstimatorImpl {
         match self {
             EstimatorImpl::Tabular(e) => e.update(broker, context, workload, reward),
             EstimatorImpl::Layer(e) => e.update(broker, context, workload, reward),
+        }
+    }
+
+    fn trained_samples(&self) -> u64 {
+        match self {
+            EstimatorImpl::Tabular(e) => e.base().trained_samples(),
+            EstimatorImpl::Layer(e) => e.trained_samples(),
         }
     }
 }
@@ -943,12 +952,8 @@ impl Lacb {
                 }
             };
             fused_score_select(
-                requests.len(),
-                available.len(),
-                k,
-                batch_seed,
-                self.cfg.n_threads,
-                self.cfg.parallel_cutoff,
+                SelectShape { rows: requests.len(), cols: available.len(), k, seed: batch_seed },
+                Parallelism { n_threads: self.cfg.n_threads, cutoff: self.cfg.parallel_cutoff },
                 &score,
                 &mut scratch,
                 &mut csr,
@@ -1292,9 +1297,14 @@ impl Assigner for Lacb {
         // Alg. 2 lines 11–13: feed (x_b, w_b, s_b) back into each
         // broker's bandit.
         if let Some(estimator) = &mut self.estimator {
+            let t_train = Instant::now();
+            let samples_before = estimator.trained_samples();
             for t in &feedback.trials {
                 estimator.update(t.broker, &t.context, t.workload, t.signup_rate);
             }
+            self.breakdown.bandit_train_secs += t_train.elapsed().as_secs_f64();
+            self.breakdown.bandit_train_samples +=
+                estimator.trained_samples().saturating_sub(samples_before);
         }
         // Deep audit after the feedback lands: damage it surfaces is
         // quarantined before the next begin_day re-estimates from it.

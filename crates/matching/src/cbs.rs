@@ -385,6 +385,32 @@ pub struct FusedScratch {
     row_len: Vec<usize>,
 }
 
+/// The selection problem of one [`fused_score_select`] call: a
+/// `rows × cols` score matrix, the per-row candidate budget `k`, and the
+/// seed of the per-row tie-break keys.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SelectShape {
+    /// Request rows.
+    pub rows: usize,
+    /// Broker columns.
+    pub cols: usize,
+    /// Candidates kept per row.
+    pub k: usize,
+    /// Selection seed.
+    pub seed: u64,
+}
+
+/// How far [`fused_score_select`] may fan out over the worker pool: up
+/// to `n_threads` parts, and no fan-out below `cutoff` work units (see
+/// [`pool::adaptive_parallelism_with`]). Results never depend on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Parallelism {
+    /// Worker threads allowed.
+    pub n_threads: usize,
+    /// Adaptive sequential cutoff in work units.
+    pub cutoff: u64,
+}
+
 /// Estimated work units (≈ ns) to score **and** select one request
 /// row in the fused kernel: the utility model's per-pair evaluation
 /// dominates; the bounded queue adds about one comparison per column.
@@ -411,12 +437,8 @@ pub fn fused_row_work(cols: usize) -> u64 {
 /// through the queue into CSR rows (ascending column order) instead of
 /// round-tripping through dense full/reduced/pruned buffers.
 pub fn fused_score_select<F>(
-    rows: usize,
-    cols: usize,
-    k: usize,
-    seed: u64,
-    n_threads: usize,
-    cutoff: u64,
+    shape: SelectShape,
+    par: Parallelism,
     score: &F,
     scratch: &mut FusedScratch,
     csr: &mut SparseUtility,
@@ -424,6 +446,8 @@ pub fn fused_score_select<F>(
 ) where
     F: Fn(usize, &mut [f64]) + Sync,
 {
+    let SelectShape { rows, cols, k, seed } = shape;
+    let Parallelism { n_threads, cutoff } = par;
     let FusedScratch { row, bins, boundary, sel, seen, remap, sel_cols, sel_utils, row_len } =
         scratch;
     seen.clear();
@@ -720,12 +744,8 @@ mod tests {
         let mut union = Vec::new();
         let score = |r: usize, buf: &mut [f64]| buf.copy_from_slice(u.row(r));
         fused_score_select(
-            u.rows(),
-            u.cols(),
-            k,
-            seed,
-            threads,
-            pool::SEQ_CUTOFF_WORK,
+            SelectShape { rows: u.rows(), cols: u.cols(), k, seed },
+            Parallelism { n_threads: threads, cutoff: pool::SEQ_CUTOFF_WORK },
             &score,
             &mut scratch,
             &mut csr,
@@ -768,12 +788,8 @@ mod tests {
             let mut union = Vec::new();
             let score = |r: usize, buf: &mut [f64]| buf.copy_from_slice(u.row(r));
             fused_score_select(
-                u.rows(),
-                u.cols(),
-                7,
-                1013,
-                threads,
-                0,
+                SelectShape { rows: u.rows(), cols: u.cols(), k: 7, seed: 1013 },
+                Parallelism { n_threads: threads, cutoff: 0 },
                 &score,
                 &mut scratch,
                 &mut csr,
@@ -793,12 +809,8 @@ mod tests {
         let score = |r: usize, buf: &mut [f64]| buf.copy_from_slice(u.row(r));
         for _ in 0..2 {
             fused_score_select(
-                u.rows(),
-                u.cols(),
-                4,
-                9,
-                1,
-                pool::SEQ_CUTOFF_WORK,
+                SelectShape { rows: u.rows(), cols: u.cols(), k: 4, seed: 9 },
+                Parallelism { n_threads: 1, cutoff: pool::SEQ_CUTOFF_WORK },
                 &score,
                 &mut scratch,
                 &mut csr,
@@ -807,12 +819,8 @@ mod tests {
         }
         let caps = (scratch.row.capacity(), scratch.sel_cols.capacity(), union.capacity());
         fused_score_select(
-            u.rows(),
-            u.cols(),
-            4,
-            9,
-            1,
-            pool::SEQ_CUTOFF_WORK,
+            SelectShape { rows: u.rows(), cols: u.cols(), k: 4, seed: 9 },
+            Parallelism { n_threads: 1, cutoff: pool::SEQ_CUTOFF_WORK },
             &score,
             &mut scratch,
             &mut csr,
@@ -855,12 +863,8 @@ mod tests {
             let score = |r: usize, buf: &mut [f64]| buf.copy_from_slice(u.row(r));
             // Cutoff 0 forces the parallel path even at this size.
             fused_score_select(
-                u.rows(),
-                u.cols(),
-                k,
-                seed,
-                threads,
-                0,
+                SelectShape { rows: u.rows(), cols: u.cols(), k, seed },
+                Parallelism { n_threads: threads, cutoff: 0 },
                 &score,
                 &mut scratch,
                 &mut c,

@@ -260,6 +260,13 @@ fn max_weight_assignment_padded_inner(u: &UtilityMatrix) -> AssignmentResult {
     KmSolver::new().solve_padded(u)
 }
 
+/// An augmenting-path kernel over a dense matrix padded to `n_rows`
+/// rows ([`KmSolver::run`]).
+type DenseKernel = fn(&mut KmSolver, &UtilityMatrix, usize) -> AssignmentResult;
+
+/// An augmenting-path kernel over a CSR graph ([`KmSolver::run_sparse`]).
+type SparseKernel = fn(&mut KmSolver, &SparseUtility) -> Result<AssignmentResult, MatchingError>;
+
 /// Reusable Kuhn–Munkres solver: owns all scratch arrays of the
 /// shortest-augmenting-path formulation so repeated per-batch solves
 /// allocate nothing, and carries *column dual potentials* across solves
@@ -300,10 +307,14 @@ pub struct KmSolver {
     minv: Vec<f64>,
     used: Vec<bool>,
     zero_row: Vec<f64>,
-    /// Columns whose `minv` has left `+∞` during the current sparse
-    /// augmenting search — the only columns the delta scan and the
-    /// potential-update pass need to visit.
-    touched: Vec<usize>,
+    /// Columns used (added to the alternating tree) by the current
+    /// augmenting search, the virtual column 0 first — the columns
+    /// whose potentials move at each step.
+    used_cols: Vec<usize>,
+    /// Sparse search only: columns whose `minv` has left `+∞` and that
+    /// are not yet used — the only columns the update pass and the
+    /// running minimum need to visit.
+    free_cols: Vec<usize>,
     /// `Some(m)` when `pot_v[1..=m]` holds duals usable to warm-start the
     /// next balanced solve over `m` columns.
     warm_cols: Option<usize>,
@@ -333,7 +344,8 @@ impl KmSolver {
             minv: Vec::new(),
             used: Vec::new(),
             zero_row: Vec::new(),
-            touched: Vec::new(),
+            used_cols: Vec::new(),
+            free_cols: Vec::new(),
             warm_cols: None,
             last_ops: 0,
             last_shape: None,
@@ -460,6 +472,10 @@ impl KmSolver {
     /// # Panics
     /// Panics on non-finite utilities, like [`max_weight_assignment`].
     pub fn solve(&mut self, u: &UtilityMatrix) -> AssignmentResult {
+        self.solve_with(u, Self::run)
+    }
+
+    fn solve_with(&mut self, u: &UtilityMatrix, run: DenseKernel) -> AssignmentResult {
         if let Some((row, col)) = first_non_finite(u) {
             panic!("{}", MatchingError::NonFiniteUtility { row, col });
         }
@@ -470,7 +486,7 @@ impl KmSolver {
             return AssignmentResult::empty(u.rows());
         }
         if u.rows() <= u.cols() {
-            let a = self.run(u, u.rows());
+            let a = run(self, u, u.rows());
             self.warm_cols = None;
             self.last_shape = Some(SolveShape {
                 n_rows: u.rows(),
@@ -482,7 +498,7 @@ impl KmSolver {
         } else {
             // Transpose, solve, invert the mapping.
             let t = u.transpose();
-            let at = self.run(&t, t.rows());
+            let at = run(self, &t, t.rows());
             self.warm_cols = None;
             self.last_shape = Some(SolveShape {
                 n_rows: t.rows(),
@@ -513,6 +529,10 @@ impl KmSolver {
     /// Panics if `rows > cols` or on non-finite utilities, like
     /// [`max_weight_assignment_padded`].
     pub fn solve_padded(&mut self, u: &UtilityMatrix) -> AssignmentResult {
+        self.solve_padded_with(u, Self::run)
+    }
+
+    fn solve_padded_with(&mut self, u: &UtilityMatrix, run: DenseKernel) -> AssignmentResult {
         assert!(
             u.rows() <= u.cols(),
             "padded KM expects requests ≤ brokers ({} > {})",
@@ -527,7 +547,7 @@ impl KmSolver {
             self.last_shape = None;
             return AssignmentResult::empty(u.rows());
         }
-        let a = self.run(u, u.cols());
+        let a = run(self, u, u.cols());
         self.warm_cols = Some(u.cols());
         self.last_shape = Some(SolveShape {
             n_rows: u.cols(),
@@ -551,6 +571,14 @@ impl KmSolver {
         &mut self,
         g: &SparseUtility,
     ) -> Result<AssignmentResult, MatchingError> {
+        self.try_solve_sparse_with(g, Self::run_sparse)
+    }
+
+    fn try_solve_sparse_with(
+        &mut self,
+        g: &SparseUtility,
+        run_sparse: SparseKernel,
+    ) -> Result<AssignmentResult, MatchingError> {
         if let Some((row, col)) = g.first_non_finite() {
             return Err(MatchingError::NonFiniteUtility { row, col });
         }
@@ -563,7 +591,7 @@ impl KmSolver {
             self.last_shape = None;
             return Ok(AssignmentResult::empty(g.rows()));
         }
-        self.run_sparse(g)
+        run_sparse(self, g)
     }
 
     /// Cold rectangular maximum-weight solve over a CSR candidate graph
@@ -593,10 +621,18 @@ impl KmSolver {
     /// Sparse analogue of [`Self::run`]: identical float-op-for-float-op
     /// to the dense loop on the masked dense equivalent, restricted to
     /// the columns that can matter — relaxation walks row adjacency
-    /// (≤ k edges), and the delta argmin / potential update visit only
-    /// `touched` columns (the ones whose `minv` has left `+∞`; the
-    /// dense loop's work on the rest is arithmetic on `±∞`/mask values
-    /// that never wins a step).
+    /// (≤ k edges), and the potential update visits only the used and
+    /// free lists (the columns whose `minv` has left `+∞`; the dense
+    /// loop's work on the rest is arithmetic on `±∞`/mask values that
+    /// never wins a step).
+    ///
+    /// One pass per augmenting step: the update pass that subtracts δ
+    /// from the free columns also carries the lexicographic
+    /// `(minv, column)` minimum over them (the chosen column excluded)
+    /// into the next step, whose relaxation folds in every value it
+    /// lowers. Relaxation only ever lowers `minv`, so the carried
+    /// minimum stays exact and no separate argmin pass is needed
+    /// (DESIGN.md §16).
     fn run_sparse(&mut self, g: &SparseUtility) -> Result<AssignmentResult, MatchingError> {
         let n = g.rows();
         let m = g.cols();
@@ -611,28 +647,35 @@ impl KmSolver {
         self.matched_row.resize(m + 1, 0);
         self.way.clear();
         self.way.resize(m + 1, 0);
-        // `minv`/`used` are reset via the touched list after every
-        // augmenting row (only entries in `touched ∪ {0}` are ever
-        // written), so the O(cols) refill happens once per solve
-        // instead of once per row.
+        // `minv`/`used` are reset via the used and free lists after
+        // every augmenting row (only entries on them are ever written),
+        // so the O(cols) refill happens once per solve instead of once
+        // per row.
         self.minv.clear();
         self.minv.resize(m + 1, INF);
         self.used.clear();
         self.used.resize(m + 1, false);
-        self.touched.clear();
         let mut ops = 0u64;
         let mut infeasible = None;
 
-        let Self { pot_u, pot_v, matched_row, way, minv, used, touched, .. } = self;
+        let Self { pot_u, pot_v, matched_row, way, minv, used, used_cols, free_cols, .. } = self;
 
         'rows: for i in 1..=n {
             matched_row[0] = i;
             let mut j0 = 0usize;
-            touched.clear();
+            used_cols.clear();
+            used_cols.push(0);
+            free_cols.clear();
+            // Lexicographic `(minv, column)` minimum over the free
+            // columns: the dense loop scans j ascending with a strict
+            // `<`, i.e. smallest j wins a tie, and `(v == δ && j < j1)`
+            // reproduces that for an arbitrary visiting order.
+            let (mut delta, mut j1) = (INF, 0usize);
             loop {
                 ops += 1;
                 used[j0] = true;
                 let i0 = matched_row[j0];
+                let u_i0 = pot_u[i0];
                 // Relax only the real candidate edges of row i0.
                 for (c, util) in g.row_entries(i0 - 1) {
                     let j = c + 1;
@@ -640,29 +683,17 @@ impl KmSolver {
                         continue;
                     }
                     // cost = -utility, as in the dense loop.
-                    let cur = -util - pot_u[i0] - pot_v[j];
+                    let cur = -util - u_i0 - pot_v[j];
                     if cur < minv[j] {
                         if minv[j] == INF {
-                            touched.push(j);
+                            free_cols.push(j);
                         }
                         minv[j] = cur;
                         way[j] = j0;
-                    }
-                }
-                // Argmin over touched columns. The dense loop scans j
-                // ascending with a strict `<`, i.e. smallest j wins a
-                // tie — `(v == delta && j < j1)` reproduces that for an
-                // arbitrary scan order.
-                let mut delta = INF;
-                let mut j1 = 0usize;
-                for &j in touched.iter() {
-                    if used[j] {
-                        continue;
-                    }
-                    let v = minv[j];
-                    if v < delta || (v == delta && j < j1) {
-                        delta = v;
-                        j1 = j;
+                        if cur < delta || (cur == delta && j < j1) {
+                            delta = cur;
+                            j1 = j;
+                        }
                     }
                 }
                 if !delta.is_finite() {
@@ -670,19 +701,28 @@ impl KmSolver {
                     break 'rows;
                 }
                 // Potentials move only at used columns — the same set
-                // the dense pass updates (every used column except the
-                // virtual column 0 was touched first).
-                pot_u[matched_row[0]] += delta;
-                pot_v[0] -= delta;
-                for &j in touched.iter() {
-                    if used[j] {
-                        pot_u[matched_row[j]] += delta;
-                        pot_v[j] -= delta;
-                    } else {
-                        minv[j] -= delta;
+                // the dense pass updates.
+                for &j in used_cols.iter() {
+                    pot_u[matched_row[j]] += delta;
+                    pot_v[j] -= delta;
+                }
+                let step = delta;
+                let chosen = j1;
+                let mut chosen_at = 0usize;
+                (delta, j1) = (INF, 0);
+                for (k, &j) in free_cols.iter().enumerate() {
+                    let v = minv[j] - step;
+                    minv[j] = v;
+                    if j == chosen {
+                        chosen_at = k;
+                    } else if v < delta || (v == delta && j < j1) {
+                        delta = v;
+                        j1 = j;
                     }
                 }
-                j0 = j1;
+                free_cols.swap_remove(chosen_at);
+                used_cols.push(chosen);
+                j0 = chosen;
                 if matched_row[j0] == 0 {
                     break;
                 }
@@ -696,14 +736,12 @@ impl KmSolver {
                     break;
                 }
             }
-            // Only touched columns (plus the virtual column 0) were
-            // written this row; restore just those instead of an
-            // O(cols) refill.
-            for &j in touched.iter() {
+            // Only listed columns were written this row; restore just
+            // those instead of an O(cols) refill.
+            for &j in used_cols.iter().chain(free_cols.iter()) {
                 minv[j] = INF;
                 used[j] = false;
             }
-            used[0] = false;
         }
         self.last_ops = ops;
         if let Some(row) = infeasible {
@@ -711,23 +749,29 @@ impl KmSolver {
             return Err(MatchingError::Infeasible { row });
         }
         self.last_shape = Some(SolveShape { n_rows: n, cols: m, n_real: n, transposed: false });
+        Ok(self.sparse_result(g))
+    }
 
+    /// Read the matching and its total off `matched_row` after a sparse
+    /// solve.
+    fn sparse_result(&self, g: &SparseUtility) -> AssignmentResult {
+        let n = g.rows();
         let mut row_to_col = vec![None; n];
         let mut total = 0.0;
-        for j in 1..=m {
+        for j in 1..=g.cols() {
             let i = self.matched_row[j];
             if i != 0 {
                 row_to_col[i - 1] = Some(j - 1);
-                total += self.touched_total_edge(g, i - 1, j - 1);
+                total += self.matched_edge_utility(g, i - 1, j - 1);
             }
         }
-        Ok(AssignmentResult { row_to_col, total })
+        AssignmentResult { row_to_col, total }
     }
 
     /// A matched pair of a sparse solve is always a real candidate edge
     /// (masked pseudo-edges are never selected); missing would mean the
     /// solver state was corrupted mid-solve.
-    fn touched_total_edge(&self, g: &SparseUtility, r: usize, c: usize) -> f64 {
+    fn matched_edge_utility(&self, g: &SparseUtility, r: usize, c: usize) -> f64 {
         match g.get(r, c) {
             Some(v) => v,
             None => panic!("matched pair ({r}, {c}) is not a candidate edge"),
@@ -791,7 +835,14 @@ impl KmSolver {
     /// `u.rows()` are zero-utility padding) and `u.cols()` columns,
     /// minimising `-utility`. Expects `n_rows ≤ u.cols()`. Starts from
     /// `pot_v` as-is when `warm_cols == Some(u.cols())`, zeros otherwise.
-    #[allow(clippy::needless_range_loop)] // index loops are the clear idiom in this kernel
+    ///
+    /// One pass over the columns per augmenting step: the step's δ is
+    /// applied lazily — the next step's relax/argmin scan subtracts it
+    /// from each free column's `minv` just before relaxing it, and the
+    /// potentials of the used columns move at the start of that step
+    /// (after the last step, just before the unwind). Every location sees
+    /// the same operations in the same order as with a separate update
+    /// pass after each step (DESIGN.md §16).
     fn run(&mut self, u: &UtilityMatrix, n_rows: usize) -> AssignmentResult {
         let n = n_rows;
         let m = u.cols();
@@ -799,9 +850,84 @@ impl KmSolver {
         debug_assert!(n <= m);
         const INF: f64 = f64::INFINITY;
 
-        // Resize scratch; 1-based arrays in the classic formulation.
-        let warm = self.warm_cols == Some(m);
-        if !warm {
+        self.prepare_dense(m, n);
+        let mut ops = 0u64;
+
+        // Split borrows: scratch fields are disjoint, and `zero_row` is
+        // only ever read.
+        let Self { pot_u, pot_v, matched_row, way, minv, used, zero_row, used_cols, .. } = self;
+
+        for i in 1..=n {
+            matched_row[0] = i;
+            let mut j0 = 0usize;
+            minv.fill(INF);
+            used.fill(false);
+            used_cols.clear();
+            // δ of the previous step, still owed to the free columns'
+            // `minv` and the used columns' potentials. Subtracting the
+            // initial 0.0 from the all-`+∞` `minv` of the first step is
+            // exact, and no column is used yet.
+            let mut pending = 0.0;
+            loop {
+                ops += 1;
+                for &j in used_cols.iter() {
+                    pot_u[matched_row[j]] += pending;
+                    pot_v[j] -= pending;
+                }
+                used[j0] = true;
+                used_cols.push(j0);
+                let i0 = matched_row[j0];
+                let u_i0 = pot_u[i0];
+                let mut delta = INF;
+                let mut j1 = 0usize;
+                let row: &[f64] = if i0 - 1 < n_real { u.row(i0 - 1) } else { &zero_row[..] };
+                for j in 1..=m {
+                    if used[j] {
+                        continue;
+                    }
+                    let mut v = minv[j] - pending;
+                    // cost = -utility
+                    let cur = -row[j - 1] - u_i0 - pot_v[j];
+                    if cur < v {
+                        v = cur;
+                        way[j] = j0;
+                    }
+                    minv[j] = v;
+                    if v < delta {
+                        delta = v;
+                        j1 = j;
+                    }
+                }
+                debug_assert!(delta.is_finite(), "no augmenting path found");
+                pending = delta;
+                j0 = j1;
+                if matched_row[j0] == 0 {
+                    break;
+                }
+            }
+            for &j in used_cols.iter() {
+                pot_u[matched_row[j]] += pending;
+                pot_v[j] -= pending;
+            }
+            // Unwind the alternating path.
+            loop {
+                let j1 = way[j0];
+                matched_row[j0] = matched_row[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
+        self.last_ops = ops;
+        self.dense_result(u, n)
+    }
+
+    /// Size the scratch arrays (1-based, as in the classic formulation)
+    /// for a dense solve of `n` rows over `m` columns, keeping `pot_v`
+    /// when it warm-starts this shape.
+    fn prepare_dense(&mut self, m: usize, n: usize) {
+        if self.warm_cols != Some(m) {
             self.pot_v.clear();
             self.pot_v.resize(m + 1, 0.0);
         }
@@ -816,72 +942,18 @@ impl KmSolver {
         self.used.resize(m + 1, false);
         self.zero_row.clear();
         self.zero_row.resize(m, 0.0);
-        let mut ops = 0u64;
+    }
 
-        // Split borrows: scratch fields are disjoint, and `zero_row` is
-        // only ever read.
-        let Self { pot_u, pot_v, matched_row, way, minv, used, zero_row, .. } = self;
-
-        for i in 1..=n {
-            matched_row[0] = i;
-            let mut j0 = 0usize;
-            minv.iter_mut().for_each(|v| *v = INF);
-            used.iter_mut().for_each(|v| *v = false);
-            loop {
-                ops += 1;
-                used[j0] = true;
-                let i0 = matched_row[j0];
-                let mut delta = INF;
-                let mut j1 = 0usize;
-                let row: &[f64] = if i0 - 1 < n_real { u.row(i0 - 1) } else { &zero_row[..] };
-                for j in 1..=m {
-                    if used[j] {
-                        continue;
-                    }
-                    // cost = -utility
-                    let cur = -row[j - 1] - pot_u[i0] - pot_v[j];
-                    if cur < minv[j] {
-                        minv[j] = cur;
-                        way[j] = j0;
-                    }
-                    if minv[j] < delta {
-                        delta = minv[j];
-                        j1 = j;
-                    }
-                }
-                debug_assert!(delta.is_finite(), "no augmenting path found");
-                for j in 0..=m {
-                    if used[j] {
-                        pot_u[matched_row[j]] += delta;
-                        pot_v[j] -= delta;
-                    } else {
-                        minv[j] -= delta;
-                    }
-                }
-                j0 = j1;
-                if matched_row[j0] == 0 {
-                    break;
-                }
-            }
-            // Unwind the alternating path.
-            loop {
-                let j1 = way[j0];
-                matched_row[j0] = matched_row[j1];
-                j0 = j1;
-                if j0 == 0 {
-                    break;
-                }
-            }
-        }
-        self.last_ops = ops;
-
+    /// Read the matching of the first `n` rows and the utility of its
+    /// real rows off `matched_row` after a dense solve.
+    fn dense_result(&self, u: &UtilityMatrix, n: usize) -> AssignmentResult {
         let mut row_to_col = vec![None; n];
         let mut total = 0.0;
-        for j in 1..=m {
+        for j in 1..=u.cols() {
             let i = self.matched_row[j];
             if i != 0 {
                 row_to_col[i - 1] = Some(j - 1);
-                if i - 1 < n_real {
+                if i - 1 < u.rows() {
                     total += u.get(i - 1, j - 1);
                 }
             }
@@ -1394,5 +1466,309 @@ mod tests {
         assert_ne!(a.row_to_col[2], Some(4));
         // Idempotent.
         assert_eq!(sanitize_utilities(&mut u), 0);
+    }
+}
+
+/// The two-pass augmenting kernels the single-pass ones replaced, kept
+/// as bit-for-bit oracles: each augmenting step scans for the argmin,
+/// then makes a second pass applying δ to every used column's
+/// potentials and every free column's `minv`.
+#[cfg(test)]
+mod two_pass_oracle {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl KmSolver {
+        /// Two-pass reference for [`KmSolver::run`].
+        #[allow(clippy::needless_range_loop)] // index loops are the clear idiom in this kernel
+        fn run_two_pass(&mut self, u: &UtilityMatrix, n_rows: usize) -> AssignmentResult {
+            let n = n_rows;
+            let m = u.cols();
+            let n_real = u.rows();
+            const INF: f64 = f64::INFINITY;
+            self.prepare_dense(m, n);
+            let mut ops = 0u64;
+            let Self { pot_u, pot_v, matched_row, way, minv, used, zero_row, .. } = self;
+            for i in 1..=n {
+                matched_row[0] = i;
+                let mut j0 = 0usize;
+                minv.iter_mut().for_each(|v| *v = INF);
+                used.iter_mut().for_each(|v| *v = false);
+                loop {
+                    ops += 1;
+                    used[j0] = true;
+                    let i0 = matched_row[j0];
+                    let mut delta = INF;
+                    let mut j1 = 0usize;
+                    let row: &[f64] = if i0 - 1 < n_real { u.row(i0 - 1) } else { &zero_row[..] };
+                    for j in 1..=m {
+                        if used[j] {
+                            continue;
+                        }
+                        let cur = -row[j - 1] - pot_u[i0] - pot_v[j];
+                        if cur < minv[j] {
+                            minv[j] = cur;
+                            way[j] = j0;
+                        }
+                        if minv[j] < delta {
+                            delta = minv[j];
+                            j1 = j;
+                        }
+                    }
+                    for j in 0..=m {
+                        if used[j] {
+                            pot_u[matched_row[j]] += delta;
+                            pot_v[j] -= delta;
+                        } else {
+                            minv[j] -= delta;
+                        }
+                    }
+                    j0 = j1;
+                    if matched_row[j0] == 0 {
+                        break;
+                    }
+                }
+                loop {
+                    let j1 = way[j0];
+                    matched_row[j0] = matched_row[j1];
+                    j0 = j1;
+                    if j0 == 0 {
+                        break;
+                    }
+                }
+            }
+            self.last_ops = ops;
+            self.dense_result(u, n)
+        }
+
+        /// Two-pass reference for [`KmSolver::run_sparse`]: relax, argmin
+        /// over the touched columns, then update them.
+        fn run_sparse_two_pass(
+            &mut self,
+            g: &SparseUtility,
+        ) -> Result<AssignmentResult, MatchingError> {
+            let n = g.rows();
+            let m = g.cols();
+            const INF: f64 = f64::INFINITY;
+            self.pot_v.clear();
+            self.pot_v.resize(m + 1, 0.0);
+            self.pot_u.clear();
+            self.pot_u.resize(n + 1, 0.0);
+            self.matched_row.clear();
+            self.matched_row.resize(m + 1, 0);
+            self.way.clear();
+            self.way.resize(m + 1, 0);
+            self.minv.clear();
+            self.minv.resize(m + 1, INF);
+            self.used.clear();
+            self.used.resize(m + 1, false);
+            let mut touched: Vec<usize> = Vec::new();
+            let mut ops = 0u64;
+            let mut infeasible = None;
+            let Self { pot_u, pot_v, matched_row, way, minv, used, .. } = self;
+            'rows: for i in 1..=n {
+                matched_row[0] = i;
+                let mut j0 = 0usize;
+                touched.clear();
+                loop {
+                    ops += 1;
+                    used[j0] = true;
+                    let i0 = matched_row[j0];
+                    for (c, util) in g.row_entries(i0 - 1) {
+                        let j = c + 1;
+                        if used[j] {
+                            continue;
+                        }
+                        let cur = -util - pot_u[i0] - pot_v[j];
+                        if cur < minv[j] {
+                            if minv[j] == INF {
+                                touched.push(j);
+                            }
+                            minv[j] = cur;
+                            way[j] = j0;
+                        }
+                    }
+                    let mut delta = INF;
+                    let mut j1 = 0usize;
+                    for &j in touched.iter() {
+                        if used[j] {
+                            continue;
+                        }
+                        let v = minv[j];
+                        if v < delta || (v == delta && j < j1) {
+                            delta = v;
+                            j1 = j;
+                        }
+                    }
+                    if !delta.is_finite() {
+                        infeasible = Some(i - 1);
+                        break 'rows;
+                    }
+                    pot_u[matched_row[0]] += delta;
+                    pot_v[0] -= delta;
+                    for &j in touched.iter() {
+                        if used[j] {
+                            pot_u[matched_row[j]] += delta;
+                            pot_v[j] -= delta;
+                        } else {
+                            minv[j] -= delta;
+                        }
+                    }
+                    j0 = j1;
+                    if matched_row[j0] == 0 {
+                        break;
+                    }
+                }
+                loop {
+                    let j1 = way[j0];
+                    matched_row[j0] = matched_row[j1];
+                    j0 = j1;
+                    if j0 == 0 {
+                        break;
+                    }
+                }
+                for &j in touched.iter() {
+                    minv[j] = INF;
+                    used[j] = false;
+                }
+                used[0] = false;
+            }
+            self.last_ops = ops;
+            if let Some(row) = infeasible {
+                self.last_shape = None;
+                return Err(MatchingError::Infeasible { row });
+            }
+            self.last_shape = Some(SolveShape { n_rows: n, cols: m, n_real: n, transposed: false });
+            Ok(self.sparse_result(g))
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Everything a solve leaves behind that anything reads: the
+    /// matching, its total, both potential vectors, the work counter and
+    /// the certifiable shape.
+    type Outcome = (Vec<Option<usize>>, u64, Vec<u64>, Vec<u64>, u64, Option<SolveShape>);
+
+    fn outcome(s: &KmSolver, a: &AssignmentResult) -> Outcome {
+        (
+            a.row_to_col.clone(),
+            a.total.to_bits(),
+            bits(&s.pot_u),
+            bits(&s.pot_v),
+            s.last_ops,
+            s.last_shape,
+        )
+    }
+
+    /// A random utility: small integers in tie-heavy cases (so the
+    /// `(v == δ && j < j1)` rule decides many steps), else continuous.
+    fn utility(rng: &mut StdRng, ties: bool) -> f64 {
+        if ties {
+            rng.gen_range(-2i32..3) as f64
+        } else {
+            rng.gen_range(-1.0..2.0)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Rectangular solves, wide and tall (the transposed path).
+        #[test]
+        fn fused_dense_solve_is_bit_identical_to_two_pass(
+            seed in 0u64..1_000_000,
+            rows in 1usize..13,
+            cols in 1usize..13,
+            ties in 0u8..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let u = UtilityMatrix::from_fn(rows, cols, |_, _| utility(&mut rng, ties == 1));
+            let (mut fused, mut oracle) = (KmSolver::new(), KmSolver::new());
+            let a = fused.solve(&u);
+            let b = oracle.solve_with(&u, KmSolver::run_two_pass);
+            prop_assert_eq!(outcome(&fused, &a), outcome(&oracle, &b), "{}x{}", rows, cols);
+        }
+
+        /// Warm-started balanced sequences: the row count varies, the
+        /// columns drift, and now and then the duals are reloaded or reset.
+        #[test]
+        fn fused_warm_padded_sequence_is_bit_identical_to_two_pass(
+            seed in 0u64..1_000_000,
+            cols in 1usize..11,
+            ties in 0u8..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = UtilityMatrix::from_fn(cols, cols, |_, _| utility(&mut rng, ties == 1));
+            let (mut fused, mut oracle) = (KmSolver::new(), KmSolver::new());
+            for batch in 0..6 {
+                let rows = rng.gen_range(0..cols + 1);
+                let u = UtilityMatrix::from_fn(rows, cols, |r, c| {
+                    base.get(r, c) + if ties == 1 { 0.0 } else { 0.05 * rng.gen_range(-1.0..1.0) }
+                });
+                match rng.gen_range(0..8) {
+                    0 => {
+                        fused.reset();
+                        oracle.reset();
+                    }
+                    1 => {
+                        let v: Vec<f64> = (0..cols).map(|_| utility(&mut rng, ties == 1)).collect();
+                        fused.load_column_potentials(&v);
+                        oracle.load_column_potentials(&v);
+                    }
+                    _ => {}
+                }
+                let a = fused.solve_padded(&u);
+                let b = oracle.solve_padded_with(&u, KmSolver::run_two_pass);
+                prop_assert_eq!(outcome(&fused, &a), outcome(&oracle, &b), "batch {}", batch);
+            }
+        }
+
+        /// CSR graphs with random adjacency: feasible and Hall-violating
+        /// (rows without edges, or too few distinct columns), with
+        /// `Infeasible { row }` compared too.
+        #[test]
+        fn fused_sparse_solve_is_bit_identical_to_two_pass(
+            seed in 0u64..1_000_000,
+            rows in 1usize..13,
+            extra_cols in 0usize..10,
+            density in 1u32..10,
+            ties in 0u8..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cols = rows + extra_cols;
+            let mut g = SparseUtility::new();
+            g.begin(cols);
+            for _ in 0..rows {
+                let mut edges = Vec::new();
+                for c in 0..cols {
+                    if rng.gen_range(0..10) < density {
+                        edges.push((c, utility(&mut rng, ties == 1)));
+                    }
+                }
+                g.push_row(edges);
+            }
+            let (mut fused, mut oracle) = (KmSolver::new(), KmSolver::new());
+            for _ in 0..2 {
+                let a = fused.try_solve_sparse(&g);
+                let b = oracle.try_solve_sparse_with(&g, KmSolver::run_sparse_two_pass);
+                match (&a, &b) {
+                    (Ok(a), Ok(b)) => {
+                        prop_assert_eq!(outcome(&fused, a), outcome(&oracle, b));
+                    }
+                    (Err(ea), Err(eb)) => {
+                        prop_assert_eq!(ea, eb);
+                        prop_assert_eq!(fused.last_ops, oracle.last_ops);
+                        prop_assert_eq!(bits(&fused.pot_u), bits(&oracle.pot_u));
+                        prop_assert_eq!(bits(&fused.pot_v), bits(&oracle.pot_v));
+                    }
+                    _ => prop_assert!(false, "fused {:?} vs two-pass {:?}", a, b),
+                }
+            }
+        }
     }
 }

@@ -222,6 +222,79 @@ impl Dense {
         self.weights.matvec_t_into(delta, d_input);
     }
 
+    /// Forward pass over `n` row-major inputs (`n × fan_in`), writing
+    /// `n × fan_out` row-major pre- and post-activations. Each row gets
+    /// exactly the arithmetic of [`Self::forward_into`]: one
+    /// [`Matrix::matvec_into`], then the bias, then the activation.
+    pub(crate) fn forward_rows_into(
+        &self,
+        inputs: &[f64],
+        pre: &mut Vec<f64>,
+        post: &mut Vec<f64>,
+    ) {
+        let (fan_in, fan_out) = (self.fan_in(), self.fan_out());
+        assert_eq!(inputs.len() % fan_in, 0, "forward: input dim mismatch");
+        pre.resize(inputs.len() / fan_in * fan_out, 0.0);
+        for (x, z) in inputs.chunks_exact(fan_in).zip(pre.chunks_exact_mut(fan_out)) {
+            self.weights.matvec_into(x, z);
+            if self.use_bias {
+                for (p, b) in z.iter_mut().zip(&self.bias) {
+                    *p += b;
+                }
+            }
+        }
+        post.clear();
+        post.extend_from_slice(pre);
+        self.activation.apply_slice(post);
+    }
+
+    /// Backward pass over the `n` rows of a [`Self::forward_rows_into`]
+    /// pass. `d_post` (`n × fan_out`, `∂L/∂a` per row) is turned into
+    /// `δ = d_post ⊙ σ'(z)` in place. With `grad` (this layer's slice of
+    /// a flat gradient: weights row-major, then biases), `Σ_s δ_s x_sᵀ`
+    /// and `Σ_s δ_s` are added into it one row at a time in ascending
+    /// row order, skipping a weight row whose `δ` is zero exactly as
+    /// [`Self::backward_into`] does. With `d_input`, it receives the
+    /// `n × fan_in` input gradient `Wᵀ δ_s` per row
+    /// ([`Matrix::matvec_t_into`]).
+    pub(crate) fn backward_rows(
+        &self,
+        inputs: &[f64],
+        pre: &[f64],
+        d_post: &mut [f64],
+        grad: Option<&mut [f64]>,
+        d_input: Option<&mut Vec<f64>>,
+    ) {
+        let (fan_in, fan_out) = (self.fan_in(), self.fan_out());
+        assert_eq!(d_post.len(), pre.len(), "backward: grad dim mismatch");
+        for (d, &z) in d_post.iter_mut().zip(pre) {
+            *d *= self.activation.derivative(z);
+        }
+        if let Some(grad) = grad {
+            let (grad_w, grad_b) = grad.split_at_mut(fan_in * fan_out);
+            for (x, delta) in inputs.chunks_exact(fan_in).zip(d_post.chunks_exact(fan_out)) {
+                for (row, &di) in grad_w.chunks_exact_mut(fan_in).zip(delta) {
+                    if di != 0.0 {
+                        for (g, &xj) in row.iter_mut().zip(x) {
+                            *g += di * xj;
+                        }
+                    }
+                }
+                if self.use_bias {
+                    for (g, d) in grad_b.iter_mut().zip(delta) {
+                        *g += d;
+                    }
+                }
+            }
+        }
+        if let Some(d_input) = d_input {
+            d_input.resize(inputs.len(), 0.0);
+            for (delta, out) in d_post.chunks_exact(fan_out).zip(d_input.chunks_exact_mut(fan_in)) {
+                self.weights.matvec_t_into(delta, out);
+            }
+        }
+    }
+
     /// Copy parameters out into `dst` (weights row-major, then biases when
     /// enabled); returns the number of values written.
     pub fn write_params(&self, dst: &mut [f64]) -> usize {

@@ -41,6 +41,38 @@ pub struct MlpScratch {
     delta: Vec<f64>,
 }
 
+/// Samples per block of a batch-major training pass: bounds the
+/// per-layer activation buffers of a [`TrainScratch`] whatever the
+/// batch size. Blocks run in sample order, so results do not depend on
+/// it.
+const TRAIN_BLOCK: usize = 64;
+
+/// Reusable buffers for batch-major training
+/// ([`Mlp::loss_gradient_into`], [`Mlp::train_step_into`]): per-layer
+/// pre-/post-activations of one block of samples, the backprop
+/// ping-pong matrices, and the flat gradient, parameter and prediction
+/// vectors. Like [`MlpScratch`] it is tied to the architecture, not the
+/// weights; an empty `TrainScratch::default()` sizes itself on first use.
+#[derive(Clone, Debug, Default)]
+pub struct TrainScratch {
+    pre: Vec<Vec<f64>>,
+    post: Vec<Vec<f64>>,
+    d_post: Vec<f64>,
+    d_input: Vec<f64>,
+    grad: Vec<f64>,
+    params: Vec<f64>,
+    preds: Vec<f64>,
+}
+
+impl TrainScratch {
+    /// The flat trainable gradient left by the last
+    /// [`Mlp::loss_gradient_into`] (layout of [`Mlp::param_gradient`]);
+    /// after [`Mlp::train_step_into`] it holds the clipped step.
+    pub fn gradient(&self) -> &[f64] {
+        &self.grad
+    }
+}
+
 /// Builder for [`Mlp`], defaulting to the paper's 3-layer ReLU network.
 #[derive(Clone, Debug)]
 pub struct MlpBuilder {
@@ -310,7 +342,15 @@ impl Mlp {
     /// Copy the trainable parameters into a flat vector (layout mirrors
     /// [`Self::param_gradient`]).
     pub fn trainable_params(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.trainable_param_count()];
+        let mut out = Vec::new();
+        self.trainable_params_into(&mut out);
+        out
+    }
+
+    /// [`Self::trainable_params`] into a reused buffer.
+    fn trainable_params_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.trainable_param_count(), 0.0);
         let mut off = 0;
         for (layer, &frozen) in self.layers.iter().zip(&self.frozen) {
             if frozen {
@@ -319,7 +359,6 @@ impl Mlp {
             off += layer.write_params(&mut out[off..]);
         }
         debug_assert_eq!(off, out.len());
-        out
     }
 
     /// Overwrite the trainable parameters from a flat vector.
@@ -349,6 +388,9 @@ impl Mlp {
     /// Gradient of the regularised batch loss of Eq. (6)
     /// `Σ_o (S_θ(x_o) − s_o)² + λ‖θ‖²` over the trainable parameters,
     /// together with the loss value itself.
+    ///
+    /// Allocates; training loops should keep a [`TrainScratch`] and a
+    /// flat input matrix and call [`Self::loss_gradient_into`].
     pub fn loss_gradient(
         &self,
         inputs: &[Vec<f64>],
@@ -356,20 +398,81 @@ impl Mlp {
         lambda: f64,
     ) -> (f64, Vec<f64>) {
         assert_eq!(inputs.len(), targets.len(), "batch size mismatch");
-        let mut grad = vec![0.0; self.trainable_param_count()];
-        let mut preds = Vec::with_capacity(inputs.len());
-        let mut scratch = self.scratch();
-        let mut g = Vec::new();
-        for (x, &t) in inputs.iter().zip(targets) {
-            let pred = self.forward_cached_into(x, &mut scratch);
-            preds.push(pred);
-            self.backward_into_flat(&mut scratch, loss::dsq(pred, t), &mut g);
-            linalg::vector::axpy(1.0, &g, &mut grad);
+        let mut s = TrainScratch::default();
+        let l = self.loss_gradient_into(&self.flatten_batch(inputs), targets, lambda, &mut s);
+        (l, s.grad)
+    }
+
+    /// Batch-major [`Self::loss_gradient`] over a row-major input matrix
+    /// (`targets.len() × input_dim`): returns the loss and leaves the
+    /// flat trainable gradient in [`TrainScratch::gradient`].
+    ///
+    /// The batch is forwarded one layer at a time, a block of 64 samples
+    /// at once, and `Σ_s δ_s x_sᵀ` is accumulated
+    /// straight into the one gradient vector in ascending sample order.
+    /// Every float operation that reaches the loss or the gradient has
+    /// the operands and order of the per-sample formulation (forward,
+    /// backprop into zeroed per-layer buffers, flatten, add into the
+    /// batch sum), so the results are bit-identical to it; DESIGN.md §9
+    /// gives the argument. Allocation-free once `scratch` is warm.
+    pub fn loss_gradient_into(
+        &self,
+        inputs: &[f64],
+        targets: &[f64],
+        lambda: f64,
+        scratch: &mut TrainScratch,
+    ) -> f64 {
+        let dim = self.input_dim();
+        assert_eq!(inputs.len(), targets.len() * dim, "batch size mismatch");
+        let n_layers = self.layers.len();
+        let TrainScratch { pre, post, d_post, d_input, grad, params, preds } = scratch;
+        pre.resize_with(n_layers, Vec::new);
+        post.resize_with(n_layers, Vec::new);
+        grad.clear();
+        grad.resize(self.trainable_param_count(), 0.0);
+        preds.clear();
+        // Layers below the lowest trainable one need no backprop at all.
+        let lowest_trainable = self.frozen.iter().position(|&f| !f);
+        for (x, t) in inputs.chunks(TRAIN_BLOCK * dim).zip(targets.chunks(TRAIN_BLOCK)) {
+            for (i, layer) in self.layers.iter().enumerate() {
+                let (below, rest) = post.split_at_mut(i);
+                let input = if i == 0 { x } else { &below[i - 1] };
+                layer.forward_rows_into(input, &mut pre[i], &mut rest[0]);
+            }
+            let out = &post[n_layers - 1];
+            preds.extend_from_slice(out);
+            d_post.clear();
+            d_post.extend(out.iter().zip(t).map(|(&p, &y)| loss::dsq(p, y)));
+            let Some(lowest) = lowest_trainable else { continue };
+            let mut end = grad.len();
+            for i in (lowest..n_layers).rev() {
+                let layer = &self.layers[i];
+                let layer_grad = if self.frozen[i] {
+                    None
+                } else {
+                    end -= layer.param_count();
+                    Some(&mut grad[end..end + layer.param_count()])
+                };
+                let input = if i == 0 { x } else { &post[i - 1][..] };
+                let next = (i > lowest).then_some(&mut *d_input);
+                layer.backward_rows(input, &pre[i], d_post, layer_grad, next);
+                std::mem::swap(d_post, d_input);
+            }
         }
-        let params = self.trainable_params();
-        linalg::vector::axpy(2.0 * lambda, &params, &mut grad);
-        let l = loss::sse_with_l2(&preds, targets, lambda, &params);
-        (l, grad)
+        self.trainable_params_into(params);
+        linalg::vector::axpy(2.0 * lambda, params, grad);
+        loss::sse_with_l2(preds, targets, lambda, params)
+    }
+
+    /// Row-major copy of a batch of input vectors.
+    fn flatten_batch(&self, inputs: &[Vec<f64>]) -> Vec<f64> {
+        let dim = self.input_dim();
+        let mut flat = Vec::with_capacity(inputs.len() * dim);
+        for x in inputs {
+            assert_eq!(x.len(), dim, "forward: input dim mismatch");
+            flat.extend_from_slice(x);
+        }
+        flat
     }
 
     /// One plain gradient-descent step on Eq. (6) (Alg. 1 line 17:
@@ -398,14 +501,39 @@ impl Mlp {
         lambda: f64,
         max_grad_norm: f64,
     ) -> f64 {
-        let (l, mut grad) = self.loss_gradient(inputs, targets, lambda);
+        assert_eq!(inputs.len(), targets.len(), "batch size mismatch");
+        let flat = self.flatten_batch(inputs);
+        self.train_step_into(
+            &flat,
+            targets,
+            lr,
+            lambda,
+            max_grad_norm,
+            &mut TrainScratch::default(),
+        )
+    }
+
+    /// [`Self::train_step_clipped`] over a row-major input matrix through
+    /// reusable buffers (see [`Self::loss_gradient_into`]). Returns the
+    /// pre-step loss.
+    pub fn train_step_into(
+        &mut self,
+        inputs: &[f64],
+        targets: &[f64],
+        lr: f64,
+        lambda: f64,
+        max_grad_norm: f64,
+        scratch: &mut TrainScratch,
+    ) -> f64 {
+        let l = self.loss_gradient_into(inputs, targets, lambda, scratch);
+        let grad = &mut scratch.grad;
         if max_grad_norm.is_finite() {
-            let norm = linalg::vector::norm2(&grad);
+            let norm = linalg::vector::norm2(grad);
             if norm > max_grad_norm && norm > 0.0 {
-                linalg::vector::scale(max_grad_norm / norm, &mut grad);
+                linalg::vector::scale(max_grad_norm / norm, grad);
             }
         }
-        self.apply_trainable_delta(-lr, &grad);
+        self.apply_trainable_delta(-lr, grad);
         l
     }
 
@@ -438,6 +566,173 @@ mod tests {
     fn net(seed: u64) -> Mlp {
         let mut rng = StdRng::seed_from_u64(seed);
         MlpBuilder::new(4).hidden(&[8, 6]).build(&mut rng)
+    }
+
+    /// The per-sample training formulation the batch-major kernel
+    /// replaced, kept as its oracle: forward one sample, backprop into
+    /// zeroed per-layer buffers, flatten, and `axpy` into the batch sum.
+    fn loss_gradient_reference(
+        m: &Mlp,
+        inputs: &[Vec<f64>],
+        targets: &[f64],
+        lambda: f64,
+    ) -> (f64, Vec<f64>, Vec<f64>) {
+        let mut grad = vec![0.0; m.trainable_param_count()];
+        let mut preds = Vec::with_capacity(inputs.len());
+        let mut scratch = m.scratch();
+        let mut g = Vec::new();
+        for (x, &t) in inputs.iter().zip(targets) {
+            let pred = m.forward_cached_into(x, &mut scratch);
+            preds.push(pred);
+            m.backward_into_flat(&mut scratch, loss::dsq(pred, t), &mut g);
+            linalg::vector::axpy(1.0, &g, &mut grad);
+        }
+        let params = m.trainable_params();
+        linalg::vector::axpy(2.0 * lambda, &params, &mut grad);
+        (loss::sse_with_l2(&preds, targets, lambda, &params), grad, preds)
+    }
+
+    /// The clipped gradient step on top of [`loss_gradient_reference`].
+    fn train_step_reference(
+        m: &mut Mlp,
+        inputs: &[Vec<f64>],
+        targets: &[f64],
+        lr: f64,
+        lambda: f64,
+        max_grad_norm: f64,
+    ) -> f64 {
+        let (l, mut grad, _) = loss_gradient_reference(m, inputs, targets, lambda);
+        if max_grad_norm.is_finite() {
+            let norm = linalg::vector::norm2(&grad);
+            if norm > max_grad_norm && norm > 0.0 {
+                linalg::vector::scale(max_grad_norm / norm, &mut grad);
+            }
+        }
+        m.apply_trainable_delta(-lr, &grad);
+        l
+    }
+
+    /// The first pitfall above, pinned: with no biases, an all-zero
+    /// input and all-negative first-layer weights, every dot product of
+    /// the forward pass sums only `-0.0` terms, so the prediction is
+    /// `-0.0` exactly when each accumulator starts where
+    /// `linalg::vector::dot` does.
+    #[test]
+    fn batched_forward_keeps_the_sign_of_zero() {
+        let layers = vec![
+            Dense::from_params(2, 2, Activation::Identity, false, &[-1.0, -2.0, -0.5, -3.0]),
+            Dense::from_params(2, 1, Activation::Identity, false, &[1.5, 2.5]),
+        ];
+        let m = Mlp::from_layers(layers, vec![false, false]).unwrap();
+        let inputs = vec![vec![0.0, 0.0], vec![1.0, -1.0]];
+        let targets = [0.5, 0.25];
+        let (_, _, p_ref) = loss_gradient_reference(&m, &inputs, &targets, 0.0);
+        // The zero input's prediction carries the sign of an empty sum.
+        assert_eq!(p_ref[0].to_bits(), linalg::vector::dot(&[], &[]).to_bits());
+        let mut scratch = TrainScratch::default();
+        m.loss_gradient_into(&m.flatten_batch(&inputs), &targets, 0.0, &mut scratch);
+        assert_eq!(bits(&scratch.preds), bits(&p_ref));
+        assert_eq!(m.forward(&inputs[0]).to_bits(), p_ref[0].to_bits());
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// All parameters, frozen or not, as bit patterns.
+    fn all_param_bits(m: &Mlp) -> Vec<u64> {
+        let mut all = m.clone();
+        all.unfreeze_all();
+        bits(&all.trainable_params())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(160))]
+
+        /// Bit-for-bit oracle of the batch-major training kernel against
+        /// the per-sample formulation: prediction, loss, gradient and
+        /// post-step parameter bits, over 1–3 hidden layers, bias on and off,
+        /// random frozen masks (including the layer-transfer
+        /// estimator's "all but the last"), all four activations,
+        /// λ = 0 and λ > 0, clipping on and off, batches that span
+        /// several blocks, and batches holding zero inputs, duplicate
+        /// inputs and dead ReLU units. One scratch serves two different
+        /// batches, so stale buffer contents would show.
+        ///
+        /// Two pitfalls the kernel must respect:
+        /// - `Iterator::sum::<f64>` starts from `-0.0` on rustc 1.95, so
+        ///   a hand-written dot product starting from `+0.0` turns a
+        ///   `-0.0` pre-activation into `+0.0`. The batched forward pass
+        ///   must start each accumulator from the same value that
+        ///   `linalg::vector::dot` uses (it calls `Matrix::matvec_into`).
+        /// - Dropping the per-sample zeroing is exact only because the
+        ///   batch accumulator starts at `+0.0` and so can never become
+        ///   `-0.0`: adding `+0.0` (zeroed buffer plus a `-0.0` term) or
+        ///   the raw `-0.0` term then gives the same bits.
+        #[test]
+        fn batch_major_training_is_bit_identical_to_per_sample(
+            seed in 0u64..1_000_000,
+            depth in 1usize..4,
+            act in 0usize..4,
+            bias in 0u8..2,
+            frozen_mask in 0u8..16,
+            lambda_on in 0u8..2,
+            clip_on in 0u8..2,
+            dead in 0u8..2,
+            n in 0usize..150,
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let activation =
+                [Activation::Relu, Activation::Sigmoid, Activation::Tanh, Activation::Identity][act];
+            let input_dim = rng.gen_range(1..6);
+            let hidden: Vec<usize> = (0..depth).map(|_| rng.gen_range(1..7)).collect();
+            let mut m = MlpBuilder::new(input_dim)
+                .hidden(&hidden)
+                .activation(activation)
+                .bias(bias == 1)
+                .build(&mut rng);
+            if dead == 1 {
+                // Unit 0 of layer 0 never fires on non-negative inputs.
+                let mut p = m.trainable_params();
+                p[..input_dim].iter_mut().for_each(|w| *w = -w.abs() - 0.1);
+                m.set_trainable_params(&p);
+            }
+            for i in 0..m.num_layers() {
+                m.freeze_layer(i, frozen_mask & (1 << i) != 0);
+            }
+            let batch = |rng: &mut StdRng, n: usize| {
+                let mut inputs: Vec<Vec<f64>> = Vec::with_capacity(n);
+                for s in 0..n {
+                    let x: Vec<f64> = match rng.gen_range(0..6) {
+                        0 => vec![0.0; input_dim],
+                        1 if s > 0 => inputs[rng.gen_range(0..s)].clone(),
+                        _ => (0..input_dim).map(|_| rng.gen_range(-2.0..2.0)).collect(),
+                    };
+                    inputs.push(if dead == 1 { x.iter().map(|v| v.abs()).collect() } else { x });
+                }
+                let targets: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                (inputs, targets)
+            };
+            let lambda = if lambda_on == 1 { 0.01 } else { 0.0 };
+            let clip = if clip_on == 1 { 0.5 } else { f64::INFINITY };
+            let mut scratch = TrainScratch::default();
+            for pass in 0..2 {
+                let (inputs, targets) = batch(&mut rng, if pass == 0 { n } else { n / 3 + 1 });
+                let flat = m.flatten_batch(&inputs);
+                let (l_ref, g_ref, p_ref) = loss_gradient_reference(&m, &inputs, &targets, lambda);
+                let l = m.loss_gradient_into(&flat, &targets, lambda, &mut scratch);
+                proptest::prop_assert_eq!(bits(&scratch.preds), bits(&p_ref), "preds, pass {}", pass);
+                proptest::prop_assert_eq!(l.to_bits(), l_ref.to_bits(), "loss, pass {}", pass);
+                proptest::prop_assert_eq!(bits(scratch.gradient()), bits(&g_ref), "grad, pass {}", pass);
+
+                let mut m_ref = m.clone();
+                let l_ref = train_step_reference(&mut m_ref, &inputs, &targets, 0.05, lambda, clip);
+                let l = m.train_step_into(&flat, &targets, 0.05, lambda, clip, &mut scratch);
+                proptest::prop_assert_eq!(l.to_bits(), l_ref.to_bits(), "step loss, pass {}", pass);
+                proptest::prop_assert_eq!(all_param_bits(&m), all_param_bits(&m_ref), "params, pass {}", pass);
+            }
+        }
     }
 
     #[test]

@@ -291,6 +291,13 @@ pub struct StageBreakdown {
     pub sparse_rows: u64,
     /// Candidate edges (CSR non-zeros) emitted by the fused kernel.
     pub sparse_edges: u64,
+    /// Seconds feeding day-end feedback into the capacity estimator in
+    /// `end_day`, bandit training included.
+    pub bandit_train_secs: f64,
+    /// Samples the bandit networks trained on in `end_day` (Σ over
+    /// training flushes of epochs × training-set length) —
+    /// deterministic.
+    pub bandit_train_samples: u64,
 }
 
 impl StageBreakdown {
@@ -306,6 +313,8 @@ impl StageBreakdown {
         self.sparse_build_secs += other.sparse_build_secs;
         self.sparse_rows += other.sparse_rows;
         self.sparse_edges += other.sparse_edges;
+        self.bandit_train_secs += other.bandit_train_secs;
+        self.bandit_train_samples += other.bandit_train_samples;
     }
 }
 
