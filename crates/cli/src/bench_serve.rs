@@ -19,9 +19,12 @@
 //! Gates: with `--baseline FILE` the run fails when the single-thread
 //! p99 per-batch latency regresses by more than 20% against the
 //! committed baseline; independently, when the machine has the threads
-//! for it, the city-preset 2-thread rung must reach `--speedup-floor`
-//! (default 0.9) of the 1-thread throughput, so a parallel-runtime
-//! regression fails loudly instead of being committed as a slowdown.
+//! for it and `--repeat` is at least 3 (interleaved repetitions, best
+//! of each rung), the city-preset 2-thread rung must reach
+//! `--speedup-floor` (default 0.9) of the 1-thread throughput, so a
+//! parallel-runtime regression fails loudly instead of being committed
+//! as a slowdown. With fewer repetitions the ratio is reported with
+//! `"speedup_gated": false`.
 
 use crate::args::Args;
 use crate::commands::CliError;
@@ -34,6 +37,10 @@ use platform_sim::{
     StageTimings, SyntheticConfig,
 };
 use std::time::Instant;
+
+/// Fewest interleaved repetitions whose best-of ratio the
+/// `--speedup-floor` gate trusts.
+const MIN_GATED_REPEAT: usize = 3;
 
 /// One thread-count measurement of the serving loop. A rung above the
 /// machine's parallelism is `skipped`: it still proves bit-identity (one
@@ -324,6 +331,9 @@ fn fmt_ms(secs: f64) -> f64 {
 /// skipped; timed rungs take the best of `repeat` repetitions (per-batch
 /// wall times are max-order statistics of a noisy scheduler — a real
 /// code regression shifts the minimum too, OS jitter does not).
+/// Repetitions are interleaved across rungs (every rung once, then
+/// again), so a burst of load on the machine lands on all rungs alike
+/// instead of on whichever rung happened to be running.
 fn run_ladder(
     label: &str,
     ds: &Dataset,
@@ -333,93 +343,102 @@ fn run_ladder(
     hw: usize,
 ) -> Result<Vec<ThreadSample>, CliError> {
     let total_requests = ds.total_requests();
-    let mut samples: Vec<ThreadSample> = Vec::new();
+    let mut samples: Vec<ThreadSample> = threads
+        .iter()
+        .map(|&n| ThreadSample {
+            n_threads: n,
+            total_utility: 0.0,
+            assign_secs: f64::INFINITY,
+            p50_batch_ms: f64::INFINITY,
+            p99_batch_ms: f64::INFINITY,
+            begin_day_secs: f64::INFINITY,
+            throughput_req_per_s: 0.0,
+            bit_identical_to_1: false,
+            skipped: n > hw,
+            stages: StageBreakdown::default(),
+        })
+        .collect();
     let mut reference_bits = 0u64;
-    for &n in threads {
-        let skipped = n > hw;
-        let reps = if skipped { 1 } else { repeat };
-        let mut utility = 0.0f64;
-        let mut assign_secs = f64::INFINITY;
-        let mut p50 = f64::INFINITY;
-        let mut p99 = f64::INFINITY;
-        let mut begin_day_secs = f64::INFINITY;
-        let mut stages = StageBreakdown::default();
-        for rep in 0..reps {
+    for rep in 0..repeat {
+        for sample in samples.iter_mut() {
+            if sample.skipped && rep > 0 {
+                continue;
+            }
+            let n = sample.n_threads;
             let (u, timings) = run_serving(ds, n, seed);
             if rep == 0 {
-                utility = u;
-            } else if u.to_bits() != utility.to_bits() {
+                sample.total_utility = u;
+                if n == 1 {
+                    reference_bits = u.to_bits();
+                }
+                sample.bit_identical_to_1 = u.to_bits() == reference_bits;
+                if !sample.bit_identical_to_1 {
+                    return Err(CliError::Gate(format!(
+                        "{label}: {n}-thread run diverged from the single-thread reference: \
+                         {u} vs {}",
+                        f64::from_bits(reference_bits)
+                    )));
+                }
+            } else if u.to_bits() != sample.total_utility.to_bits() {
                 return Err(CliError::Gate(format!(
                     "{label}: {n}-thread run is not reproducible across repetitions"
                 )));
             }
             let total_assign: f64 = timings.assign_batch_secs.iter().sum();
-            if total_assign < assign_secs {
-                stages = timings.breakdown;
+            if total_assign < sample.assign_secs {
+                sample.stages = timings.breakdown;
+                sample.assign_secs = total_assign;
             }
-            assign_secs = assign_secs.min(total_assign);
-            p50 = p50.min(timings.assign_percentile(50.0));
-            p99 = p99.min(timings.assign_percentile(99.0));
-            begin_day_secs = begin_day_secs.min(timings.begin_day_secs.iter().sum());
+            sample.p50_batch_ms = sample.p50_batch_ms.min(timings.assign_percentile(50.0));
+            sample.p99_batch_ms = sample.p99_batch_ms.min(timings.assign_percentile(99.0));
+            sample.begin_day_secs = sample.begin_day_secs.min(timings.begin_day_secs.iter().sum());
         }
-        if n == 1 {
-            reference_bits = utility.to_bits();
+    }
+    for sample in samples.iter_mut() {
+        sample.p50_batch_ms = fmt_ms(sample.p50_batch_ms);
+        sample.p99_batch_ms = fmt_ms(sample.p99_batch_ms);
+        if sample.assign_secs > 0.0 {
+            sample.throughput_req_per_s = total_requests as f64 / sample.assign_secs;
         }
-        let sample = ThreadSample {
-            n_threads: n,
-            total_utility: utility,
-            assign_secs,
-            p50_batch_ms: fmt_ms(p50),
-            p99_batch_ms: fmt_ms(p99),
-            begin_day_secs,
-            throughput_req_per_s: if assign_secs > 0.0 {
-                total_requests as f64 / assign_secs
-            } else {
-                0.0
-            },
-            bit_identical_to_1: utility.to_bits() == reference_bits,
-            skipped,
-            stages,
-        };
-        if skipped {
+        if sample.skipped {
             println!(
-                "  [{label}] {n} thread(s): skipped (exceeds {hw} hardware threads) — \
-                 bit-identity {}",
-                if sample.bit_identical_to_1 { "ok" } else { "DIVERGED" }
+                "  [{label}] {} thread(s): skipped (exceeds {hw} hardware threads) — \
+                 bit-identity ok",
+                sample.n_threads
             );
-        } else {
-            println!(
-                "  [{label}] {} thread(s): assign {:.3}s  p50 {:.3}ms  p99 {:.3}ms  \
-                 {:.0} req/s  {}",
-                sample.n_threads,
-                sample.assign_secs,
-                sample.p50_batch_ms,
-                sample.p99_batch_ms,
-                sample.throughput_req_per_s,
-                if sample.bit_identical_to_1 { "bit-identical" } else { "DIVERGED" }
-            );
-            let st = &sample.stages;
-            println!(
-                "      stages: score {:.1}ms  build {:.1}ms  km {:.1}ms  train {:.1}ms \
-                 ({} samples)  pool sync {:.1}ms",
-                fmt_ms(st.bandit_score_secs),
-                fmt_ms(st.sparse_build_secs),
-                fmt_ms(st.km_solve_secs),
-                fmt_ms(st.bandit_train_secs),
-                st.bandit_train_samples,
-                fmt_ms(st.pool_sync_secs),
-            );
+            continue;
         }
-        if !sample.bit_identical_to_1 {
-            return Err(CliError::Gate(format!(
-                "{label}: {n}-thread run diverged from the single-thread reference: {} vs {}",
-                sample.total_utility,
-                f64::from_bits(reference_bits)
-            )));
-        }
-        samples.push(sample);
+        println!(
+            "  [{label}] {} thread(s): assign {:.3}s  p50 {:.3}ms  p99 {:.3}ms  \
+             {:.0} req/s  bit-identical",
+            sample.n_threads,
+            sample.assign_secs,
+            sample.p50_batch_ms,
+            sample.p99_batch_ms,
+            sample.throughput_req_per_s,
+        );
+        let st = &sample.stages;
+        println!(
+            "      stages: score {:.1}ms  build {:.1}ms  km {:.1}ms  train {:.1}ms \
+             ({} samples)  pool sync {:.1}ms",
+            fmt_ms(st.bandit_score_secs),
+            fmt_ms(st.sparse_build_secs),
+            fmt_ms(st.km_solve_secs),
+            fmt_ms(st.bandit_train_secs),
+            st.bandit_train_samples,
+            fmt_ms(st.pool_sync_secs),
+        );
     }
     Ok(samples)
+}
+
+/// The city preset's 2-thread speedup over 1 thread (assign time), when
+/// both rungs were timed — the ratio `--speedup-floor` gates.
+fn city_speedup(sections: &[LadderSection]) -> Option<f64> {
+    let city = sections.iter().find(|s| s.name == "city")?;
+    let base = city.samples.iter().find(|s| s.n_threads == 1 && !s.skipped)?;
+    let two = city.samples.iter().find(|s| s.n_threads == 2 && !s.skipped)?;
+    Some(if two.assign_secs > 0.0 { base.assign_secs / two.assign_secs } else { 1.0 })
 }
 
 fn emit_ladder_json(out: &mut String, section: &LadderSection, hw: usize) {
@@ -518,6 +537,8 @@ fn emit_json(
     out.push_str("{\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"repeat\": {repeat},\n"));
+    let speedup_gated = repeat >= MIN_GATED_REPEAT && city_speedup(sections).is_some();
+    out.push_str(&format!("  \"speedup_gated\": {speedup_gated},\n"));
     out.push_str(&format!("  \"hardware_threads\": {hw},\n"));
     for section in sections {
         emit_ladder_json(&mut out, section, hw);
@@ -683,14 +704,15 @@ pub fn cmd_bench_serve(args: &Args) -> Result<(), CliError> {
     // is big enough that threads must help), 2 threads may not run the
     // ladder slower than `--speedup-floor` × the 1-thread throughput.
     // Vacuous when the machine lacks a second hardware thread (the rung
-    // is skipped) or the city preset was not requested.
+    // is skipped) or the city preset was not requested. A ratio of two
+    // single runs is noise on a shared 2-core box (a quick city batch
+    // is a few ms, its parallel share smaller still), so the floor only
+    // applies to the best of at least `MIN_GATED_REPEAT` interleaved
+    // repetitions; with fewer the ratio is printed, not gated, and the
+    // report says `"speedup_gated": false`.
     let floor: f64 = args.get_or("speedup-floor", 0.9)?;
-    if let Some(city) = sections.iter().find(|s| s.name == "city") {
-        let base = city.samples.iter().find(|s| s.n_threads == 1 && !s.skipped);
-        let two = city.samples.iter().find(|s| s.n_threads == 2 && !s.skipped);
-        if let (Some(base), Some(two)) = (base, two) {
-            let speedup =
-                if two.assign_secs > 0.0 { base.assign_secs / two.assign_secs } else { 1.0 };
+    if let Some(speedup) = city_speedup(&sections) {
+        if repeat >= MIN_GATED_REPEAT {
             println!("speedup gate [city]: 2 threads at {speedup:.3}x vs floor {floor}");
             if speedup < floor {
                 return Err(CliError::Gate(format!(
@@ -698,6 +720,11 @@ pub fn cmd_bench_serve(args: &Args) -> Result<(), CliError> {
                      {speedup:.3}, below the {floor} floor"
                 )));
             }
+        } else {
+            println!(
+                "speedup gate [city]: 2 threads at {speedup:.3}x, not gated \
+                 (--repeat {repeat} < {MIN_GATED_REPEAT} interleaved repetitions)"
+            );
         }
     }
 
@@ -828,7 +855,8 @@ mod tests {
         let out = std::env::temp_dir().join("caam_bench_serve_test.json");
         // `--sparse-floor 0`: this test checks report structure, not
         // timing; the speedup gate is load-sensitive when the whole
-        // workspace test suite shares the machine.
+        // workspace test suite shares the machine. At `--repeat 1` the
+        // 2-thread speedup is printed but never gated.
         let args = Args::parse(&argv(&format!(
             "--quick --threads 1,2 --repeat 1 --sparse-floor 0 --out {}",
             out.display()
@@ -848,6 +876,7 @@ mod tests {
         assert!(text.contains("\"overload_4x\""));
         assert!(text.contains("\"p99_under_4x_spike_ms\""));
         assert!(text.contains("\"quick\": true"));
+        assert!(text.contains("\"speedup_gated\": false"));
         assert!(baseline_p99(&text, "fig8", 1).is_some());
         assert!(baseline_p99(&text, "city", 1).is_some());
         let _ = std::fs::remove_file(&out);

@@ -83,7 +83,9 @@ pub fn write_v2(sections: &[(&str, &str)]) -> String {
             body.is_empty() || body.ends_with('\n'),
             "section bodies must be newline-terminated"
         );
-        let lines = body.lines().count();
+        // `body.lines().count()`, as a byte scan.
+        let newlines = body.bytes().filter(|&b| b == b'\n').count();
+        let lines = newlines + usize::from(!body.is_empty() && !body.ends_with('\n'));
         let crc = crc32(body.as_bytes());
         out.push_str(&format!("section {name} {lines} {crc:08x}\n"));
         out.push_str(body);

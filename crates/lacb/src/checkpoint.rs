@@ -127,6 +127,27 @@ pub struct Restored {
     pub epoch: Option<u64>,
 }
 
+/// v2 section boundaries: the first key of each logical group in the v1
+/// payload, and the section it opens. Splitting the payload here
+/// (rather than restructuring `capture`) keeps one serialisation path
+/// for both formats.
+const V2_MARKERS: [(&str, &str); 8] = [
+    ("next-day", "progress"),
+    ("platform-day", "platform"),
+    ("ledger-realized", "ledger"),
+    ("primary-panics", "stats"),
+    ("pending-feedback", "feedback"),
+    ("lacb-days", "matcher"),
+    ("overload-present", "overload"),
+    ("replication-epoch", "epoch"),
+];
+
+/// The v2 section a v1 payload line opens, if its key is a marker.
+fn v2_section_starting(line: &str) -> Option<&'static str> {
+    let key = line.split_whitespace().next().unwrap_or("");
+    V2_MARKERS.iter().find(|(k, _)| *k == key).map(|&(_, name)| name)
+}
+
 /// A serialised pipeline snapshot. Obtain one with [`Checkpoint::capture`]
 /// or [`Checkpoint::load`]; apply it with [`Checkpoint::restore`].
 #[derive(Clone, Debug)]
@@ -181,32 +202,36 @@ impl Checkpoint {
     /// split into named sections, each with a CRC32, plus a whole-file
     /// footer checksum. This is what [`Checkpoint::save`] writes.
     pub fn to_v2_text(&self) -> String {
-        // Section boundaries are the first key of each logical group in
-        // the v1 payload; splitting here (rather than restructuring
-        // `capture`) keeps one serialisation path for both formats.
-        const MARKERS: [(&str, &str); 8] = [
-            ("next-day", "progress"),
-            ("platform-day", "platform"),
-            ("ledger-realized", "ledger"),
-            ("primary-panics", "stats"),
-            ("pending-feedback", "feedback"),
-            ("lacb-days", "matcher"),
-            ("overload-present", "overload"),
-            ("replication-epoch", "epoch"),
-        ];
-        let mut sections: Vec<(&str, String)> = Vec::with_capacity(MARKERS.len());
-        for line in self.text.lines().skip(1) {
-            let key = line.split_whitespace().next().unwrap_or("");
-            if let Some((_, name)) = MARKERS.iter().find(|(k, _)| *k == key) {
-                sections.push((name, String::new()));
+        // `lines()` would drop a `\r` before `\n` and supply a missing
+        // final newline; normalise such text once (never the case for
+        // `capture` output) so the section slices below are exactly the
+        // newline-terminated lines the sections are made of.
+        let normalized: String;
+        let text = if self.text.ends_with('\n') && !self.text.contains("\r\n") {
+            self.text.as_str()
+        } else {
+            normalized = self.text.lines().flat_map(|l| [l, "\n"]).collect();
+            normalized.as_str()
+        };
+        // Each section runs from its marker line to the next marker
+        // line (or the end); the header line is skipped.
+        let mut sections: Vec<(&str, &str)> = Vec::with_capacity(V2_MARKERS.len());
+        let mut open: Option<(&str, usize)> = None;
+        let mut pos = text.find('\n').map_or(text.len(), |i| i + 1);
+        while pos < text.len() {
+            let end = text[pos..].find('\n').map_or(text.len(), |i| pos + i + 1);
+            if let Some(name) = v2_section_starting(&text[pos..end]) {
+                if let Some((prev, start)) = open {
+                    sections.push((prev, &text[start..pos]));
+                }
+                open = Some((name, pos));
             }
-            if let Some((_, body)) = sections.last_mut() {
-                body.push_str(line);
-                body.push('\n');
-            }
+            pos = end;
         }
-        let borrowed: Vec<(&str, &str)> = sections.iter().map(|(n, b)| (*n, b.as_str())).collect();
-        write_v2(&borrowed)
+        if let Some((prev, start)) = open {
+            sections.push((prev, &text[start..]));
+        }
+        write_v2(&sections)
     }
 
     /// Parse a serialised checkpoint in either format: the checksummed
@@ -787,6 +812,7 @@ pub fn resume_chaos(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overload::{OverloadConfig, OverloadState};
     use crate::resilient::run_chaos;
     use crate::runner::RunConfig;
     use platform_sim::{FaultConfig, SyntheticConfig};
@@ -803,6 +829,62 @@ mod tests {
 
     fn chaos_plan(seed: u64) -> FaultPlan {
         FaultPlan::new(FaultConfig::scenario("broker-dropout+lost-feedback", seed).unwrap())
+    }
+
+    /// The line-copying splitter `to_v2_text` replaced: every line of
+    /// the payload pushed into a fresh per-section `String`. The oracle
+    /// the slicing splitter is held to, byte for byte.
+    fn to_v2_text_by_lines(ckpt: &Checkpoint) -> String {
+        let mut sections: Vec<(&str, String)> = Vec::with_capacity(V2_MARKERS.len());
+        for line in ckpt.text.lines().skip(1) {
+            if let Some(name) = v2_section_starting(line) {
+                sections.push((name, String::new()));
+            }
+            if let Some((_, body)) = sections.last_mut() {
+                body.push_str(line);
+                body.push('\n');
+            }
+        }
+        let borrowed: Vec<(&str, &str)> = sections.iter().map(|(n, b)| (*n, b.as_str())).collect();
+        write_v2(&borrowed)
+    }
+
+    /// The slicing splitter writes the same bytes as the line-copying
+    /// one on real checkpoints — plain, with the overload section, with
+    /// the replication epoch, with both — and on irregular v1 text
+    /// (CRLF line ends, no final newline, lines before the first
+    /// marker, repeated markers).
+    #[test]
+    fn v2_text_matches_the_line_copying_splitter() {
+        let ds = dataset(61);
+        let plan = chaos_plan(31);
+        let spiked = ds.with_batch_spikes(&plan);
+        let mut engine =
+            Engine::lacb(&spiked, LacbConfig::default(), ResilienceConfig::default(), plan, None)
+                .max_days(Some(1));
+        engine.run_to_end();
+        let plain = Checkpoint::capture(&engine);
+        let with_overload = Checkpoint::capture(
+            &engine.with_overload(OverloadState::new(OverloadConfig::default())),
+        );
+        assert!(with_overload.as_text().contains("\noverload-present "));
+        let mut cases = vec![
+            plain.clone().with_epoch(7),
+            with_overload.clone().with_epoch(u64::MAX),
+            plain,
+            with_overload,
+        ];
+        for text in [
+            "caam-ckpt v1\nstray 1\nnext-day 2\r\nx 1\nlacb-days 3\nnext-day 4",
+            "caam-ckpt v1\n\n  next-day 1\n\nprimary-panics 0\n",
+            "caam-ckpt v1",
+            "",
+        ] {
+            cases.push(Checkpoint { text: text.to_string() });
+        }
+        for ckpt in &cases {
+            assert_eq!(ckpt.to_v2_text(), to_v2_text_by_lines(ckpt), "payload {:?}", ckpt.text);
+        }
     }
 
     #[test]

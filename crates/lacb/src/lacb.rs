@@ -13,8 +13,8 @@ use matching::greedy::greedy_assignment;
 use matching::hungarian::{CertifyMode, KmSolver, MatchingError, SANITIZED_UTILITY};
 use matching::{MatchMode, SparseUtility, UtilityMatrix};
 use platform_sim::{
-    AuditReport, DayFeedback, InvariantKind, Platform, RepairKind, Request, StageBreakdown,
-    StateFault, StateFaultKind, StateTarget, STATUS_DIM,
+    AuditReport, BrokerPanel, DayFeedback, InvariantKind, Platform, RepairKind, Request,
+    StageBreakdown, StateFault, StateFaultKind, StateTarget, STATUS_DIM,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -248,12 +248,14 @@ pub struct Lacb {
     pruned_buf: UtilityMatrix,
     /// Sparse fast-path buffers reused across batches (§16): fused
     /// kernel scratch, the CSR candidate graph, the candidate-union
-    /// column ids (indices into today's available set), and the
-    /// per-available-column value refinements. All derived state.
+    /// column ids (indices into today's available set), the
+    /// per-available-column value refinements and the scoring panel of
+    /// the available brokers. All derived state.
     fused_scratch: FusedScratch,
     csr_buf: SparseUtility,
     union_buf: Vec<usize>,
     adj_buf: Vec<f64>,
+    panel_buf: BrokerPanel,
     /// Runtime invariant audits and per-broker quarantine (§12).
     auditor: Auditor,
     /// Cumulative sub-stage timing telemetry since the last
@@ -288,6 +290,7 @@ impl Lacb {
             csr_buf: SparseUtility::new(),
             union_buf: Vec::new(),
             adj_buf: Vec::new(),
+            panel_buf: BrokerPanel::default(),
             auditor,
             breakdown: StageBreakdown::default(),
         }
@@ -514,6 +517,7 @@ impl Lacb {
             csr_buf: SparseUtility::new(),
             union_buf: Vec::new(),
             adj_buf: Vec::new(),
+            panel_buf: BrokerPanel::default(),
             auditor,
             breakdown: StageBreakdown::default(),
         })
@@ -940,11 +944,20 @@ impl Lacb {
         let mut scratch = std::mem::take(&mut self.fused_scratch);
         let mut csr = std::mem::take(&mut self.csr_buf);
         let mut union_cols = std::mem::take(&mut self.union_buf);
+        let mut panel_buf = std::mem::take(&mut self.panel_buf);
         let t_build = Instant::now();
         {
+            // `available` is sorted and duplicate-free, so covering every
+            // broker means it is the identity: read the population panel.
+            let panel = if available.len() == platform.num_brokers() {
+                platform.panel()
+            } else {
+                panel_buf.pack_from(platform.panel(), available);
+                &panel_buf
+            };
             let adj = &adj;
             let score = move |r: usize, row: &mut [f64]| {
-                platform.pair_utilities_into(r, &requests[r], available, row);
+                platform.utility_row_into(r, &requests[r], panel, row);
                 for (v, &a) in row.iter_mut().zip(adj) {
                     if a != 0.0 {
                         *v += a;
@@ -1023,6 +1036,7 @@ impl Lacb {
         self.csr_buf = csr;
         self.union_buf = union_cols;
         self.adj_buf = adj;
+        self.panel_buf = panel_buf;
         if audit_on {
             self.post_solve_audit(platform, &assignment, audit_batch);
         }

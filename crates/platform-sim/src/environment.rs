@@ -6,10 +6,11 @@
 //! degradation, fatigue), and at the end of each day it reveals the
 //! `(x_b, w_b, s_b)` trial triples used as bandit feedback.
 
-use crate::broker::{status_vector, BrokerProfile, BrokerState};
+use crate::broker::{status_vector, BrokerProfile, BrokerState, PREF_DIM};
 use crate::capacity_model::realized_signup_probability;
 use crate::dataset::Dataset;
 use crate::faults::FaultPlan;
+use crate::panel::BrokerPanel;
 use crate::request::Request;
 use crate::utility::UtilityModel;
 use matching::UtilityMatrix;
@@ -92,6 +93,8 @@ pub struct Appeal {
 #[derive(Clone, Debug)]
 pub struct Platform {
     brokers: Vec<BrokerProfile>,
+    /// Scoring panel of `brokers`, built once: profiles never change.
+    panel: BrokerPanel,
     states: Vec<BrokerState>,
     utility: UtilityModel,
     /// Status vectors captured when the current day began.
@@ -121,6 +124,7 @@ impl Platform {
         let day_start_status =
             brokers.iter().zip(&states).map(|(p, s)| status_vector(p, s)).collect();
         Self {
+            panel: BrokerPanel::new(&brokers),
             brokers,
             states,
             utility,
@@ -258,26 +262,20 @@ impl Platform {
     /// In-place [`Self::utility_matrix`]: refills `out`, reusing its
     /// allocation across batches.
     pub fn utility_matrix_into(&self, requests: &[Request], out: &mut UtilityMatrix) {
-        self.utility.utility_matrix_into(requests, &self.brokers, out);
-        if let Some(plan) = &self.faults {
-            for r in 0..out.rows() {
-                for b in 0..out.cols() {
-                    if let Some(bad) = plan.corrupt_utility(self.day_index, self.batch_index, r, b)
-                    {
-                        out.set(r, b, bad);
-                    }
-                }
-            }
+        // Every cell is written below; skip `reset`'s redundant
+        // zero-fill (pure memory bandwidth on the hot path).
+        out.reshape_for_overwrite(requests.len(), self.brokers.len());
+        for (r, request) in requests.iter().enumerate() {
+            self.utility_row_into(r, request, &self.panel, out.row_mut(r));
         }
     }
 
     /// One cell of [`Self::utility_matrix`]: the predicted utility of
     /// pairing batch row `row` (`request`) with broker `b`, including
     /// any injected corruption for that cell. Bit-identical to
-    /// `utility_matrix_into(..)[row, b]` — the matrix fill evaluates the
-    /// model per cell and overwrites corrupted cells the same way — so
-    /// streaming consumers (the fused score+select kernel) see exactly
-    /// the dense matrix without materialising it.
+    /// `utility_matrix_into(..)[row, b]`: the row kernel and this
+    /// point-wise form evaluate the same per-pair formula, and both
+    /// overwrite corrupted cells the same way.
     pub fn pair_utility(&self, row: usize, request: &Request, b: usize) -> f64 {
         let mut u = self.utility.utility(request, &self.brokers[b]);
         if let Some(plan) = &self.faults {
@@ -288,36 +286,35 @@ impl Platform {
         u
     }
 
-    /// One *row* of [`Self::utility_matrix`] restricted to a column
-    /// subset: `out[j] = pair_utility(row, request, cols[j])`. `cols`
-    /// must be sorted and duplicate-free (an availability mask). The
-    /// batched form keeps the model evaluation in a tight loop (no
-    /// per-cell fault-plan branch when no plan is armed), which is what
-    /// the fused score+select kernel streams over; each cell is
-    /// bit-identical to the dense fill.
-    pub fn pair_utilities_into(
+    /// The population's scoring panel (column `j` = broker `j`). Pack a
+    /// subset of it with [`BrokerPanel::pack_from`] to score only the
+    /// brokers a matcher may use.
+    pub fn panel(&self) -> &BrokerPanel {
+        &self.panel
+    }
+
+    /// One *row* of [`Self::utility_matrix`] over the columns of
+    /// `panel` — [`Self::panel`] or a subset packed from it:
+    /// `out[j] = pair_utility(row, request, panel.index()[j])`, bit for
+    /// bit. This is the row kernel behind the dense fill and the fused
+    /// score+select kernel; the fault overlay runs after scoring.
+    pub fn utility_row_into(
         &self,
         row: usize,
         request: &Request,
-        cols: &[usize],
+        panel: &BrokerPanel,
         out: &mut [f64],
     ) {
-        debug_assert_eq!(cols.len(), out.len());
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be sorted and unique");
-        if cols.len() == self.brokers.len() {
-            // `cols` is sorted and duplicate-free, so covering every
-            // broker means it IS the identity — score sequentially like
-            // the dense fill instead of gathering through the indices.
-            for (slot, broker) in out.iter_mut().zip(&self.brokers) {
-                *slot = self.utility.utility(request, broker);
-            }
+        debug_assert_eq!(out.len(), panel.len());
+        if panel.is_packed() && request.attrs.len() == PREF_DIM {
+            self.utility.utility_row(request, panel, out);
         } else {
-            for (slot, &b) in out.iter_mut().zip(cols) {
+            for (slot, &b) in out.iter_mut().zip(panel.index()) {
                 *slot = self.utility.utility(request, &self.brokers[b]);
             }
         }
         if let Some(plan) = &self.faults {
-            for (slot, &b) in out.iter_mut().zip(cols) {
+            for (slot, &b) in out.iter_mut().zip(panel.index()) {
                 if let Some(bad) = plan.corrupt_utility(self.day_index, self.batch_index, row, b) {
                     *slot = bad;
                 }
@@ -580,6 +577,45 @@ mod tests {
         let m = p.utility_matrix(&ds.days[0][0].requests);
         assert_eq!(m.rows(), ds.days[0][0].requests.len());
         assert_eq!(m.cols(), 20);
+    }
+
+    /// The dense fill, the panel row (full and packed subset) and the
+    /// point-wise `pair_utility` are one model: under an armed fault
+    /// plan that corrupts about half the cells, they agree cell for
+    /// cell, bit for bit, corrupted cells included.
+    #[test]
+    fn dense_fill_panel_row_and_pair_utility_agree_under_faults() {
+        use crate::faults::FaultConfig;
+        let (mut p, ds) = small_world();
+        p.enable_faults(FaultPlan::new(FaultConfig {
+            seed: 4,
+            utility_corruption: 1.0,
+            corruption_density: 0.5,
+            ..FaultConfig::default()
+        }));
+        p.begin_day();
+        let requests = &ds.days[0][0].requests;
+        let dense = p.utility_matrix(requests);
+        let subset: Vec<usize> = (0..p.num_brokers()).filter(|b| b % 3 != 1).collect();
+        let mut packed = BrokerPanel::default();
+        packed.pack_from(p.panel(), &subset);
+        let mut full_row = vec![0.0; p.num_brokers()];
+        let mut sub_row = vec![0.0; subset.len()];
+        let mut corrupted = 0;
+        for (r, request) in requests.iter().enumerate() {
+            p.utility_row_into(r, request, p.panel(), &mut full_row);
+            p.utility_row_into(r, request, &packed, &mut sub_row);
+            for (b, got) in full_row.iter().enumerate() {
+                let cell = dense.get(r, b).to_bits();
+                assert_eq!(got.to_bits(), cell, "full panel row {r} broker {b}");
+                assert_eq!(p.pair_utility(r, request, b).to_bits(), cell, "pair {r},{b}");
+                corrupted += usize::from(!(0.0..=1.0).contains(&dense.get(r, b)));
+            }
+            for (j, &b) in subset.iter().enumerate() {
+                assert_eq!(sub_row[j].to_bits(), dense.get(r, b).to_bits(), "subset {r},{b}");
+            }
+        }
+        assert!(corrupted > 0, "the fault plan must corrupt some cells");
     }
 
     #[test]

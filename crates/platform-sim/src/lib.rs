@@ -17,7 +17,8 @@
 //!   Table IV city-scale generators.
 //! * A **utility model** ([`utility`]) standing in for the deployed
 //!   XGBoost predictor: `u_{r,b}` is a deterministic function of broker
-//!   quality and request/broker affinity.
+//!   quality and request/broker affinity, scored a request row at a
+//!   time over a structure-of-arrays broker [`panel`].
 //! * The **environment loop** ([`environment`]): executes an assignment,
 //!   applies overload degradation to realised sign-ups, advances broker
 //!   fatigue day by day, and emits the `(x_b, w_b, s_b)` trial triples
@@ -34,6 +35,7 @@ pub mod environment;
 pub mod faults;
 pub mod io;
 pub mod metrics;
+pub mod panel;
 pub mod request;
 pub mod rng;
 pub mod storage;
@@ -56,6 +58,7 @@ pub use metrics::{
     ResilienceStats, RunMetrics, StageBreakdown, StageTimings, StorageMode, StorageStats,
     StorageTransition,
 };
+pub use panel::BrokerPanel;
 pub use request::Request;
 pub use rng::splitmix64;
 pub use storage::{
